@@ -19,7 +19,6 @@ __all__ = [
     "Factorization",
     "factorize",
     "divisors",
-    "divisor_count",
     "PrimePower",
     "FieldTable",
 ]
@@ -242,10 +241,6 @@ def divisors(f: Factorization, lo: int = 1, hi: int | None = None):
             yield d
 
 
-def divisor_count(f: Factorization) -> int:
-    return f.divisor_count()
-
-
 @dataclass(frozen=True)
 class PrimePower:
     """q = p**a with p verified prime."""
@@ -342,7 +337,6 @@ class FieldTable:
         p, a, q = prime_power.p, prime_power.a, prime_power.q
         self.p, self.a, self.q = p, a, q
         self.modulus = self._smallest_irreducible(p, a)
-        self._mul_table: list[int] | None = None
         self._build_logs()
 
     @staticmethod
@@ -372,12 +366,6 @@ class FieldTable:
     def add(self, x: int, y: int) -> int:
         xv, yv = self._vec(x), self._vec(y)
         return self._enc([(u + w) % self.p for u, w in zip(xv, yv)])
-
-    def neg(self, x: int) -> int:
-        return self._enc([(-c) % self.p for c in self._vec(x)])
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def _raw_mul(self, x: int, y: int) -> int:
         prod = _poly_mulmod(self._vec(x), self._vec(y), list(self.modulus), self.p)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import constructions, design, elimination, perm
-from .algebra import PrimePower
+from . import algebra, constructions, design, elimination, perm
 from .design import read_design_file
 
 
@@ -74,15 +73,9 @@ def _cmd_verify(args) -> int:
         print(f"not a symmetric design [{exc.code}]: {exc}")
         return 1
     trivial = "" if params.nontrivial else " (trivial)"
-    lam_note = " (lambda prime)" if _is_prime(params.lam) else ""
+    lam_note = " (lambda prime)" if algebra.is_prime(params.lam) else ""
     print(f"symmetric ({params.v},{params.k},{params.lam}){trivial}{lam_note}")
     return 0
-
-
-def _is_prime(n: int) -> bool:
-    from .algebra import is_prime
-
-    return is_prime(n)
 
 
 def _cmd_group(args) -> int:
@@ -154,7 +147,7 @@ def _cmd_eliminate(args) -> int:
         return 0 if bad == 0 else 1
     if args.v is None or args.bound is None:
         raise SystemExit2("eliminate needs --table ID or both --v and --bound")
-    pairs, _ = elimination.admissible(args.v, args.bound, args.required_lambda)
+    pairs = elimination.admissible(args.v, args.bound, args.required_lambda)
     if pairs:
         print(" ".join(f"({p.k},{p.lam})" for p in pairs))
     else:
@@ -163,9 +156,7 @@ def _cmd_eliminate(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    from .algebra import is_prime
-
-    if not is_prime(args.lam):
+    if not algebra.is_prime(args.lam):
         raise SystemExit2("--lambda must be prime")
     for v, k, lam, c, d, length in elimination.corollary_families(args.lam):
         print(f"(v,k,lambda,c,d,l) = ({v},{k},{lam},{c},{d},{length})")

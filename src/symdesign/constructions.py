@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from .algebra import FieldTable, PrimePower
 from .design import IncidenceStructure, orbit_design
-from .perm import PermutationGroup, parse_generators
+from .perm import PermutationGroup, parse_group_text
 
 
 # --- projective spaces -----------------------------------------------------
@@ -233,11 +233,7 @@ def _data_text(filename: str) -> str:
 
 def load_group(filename: str) -> PermutationGroup:
     """Load a generator file shipped under symdesign/data."""
-    lines = _data_text(filename).splitlines()
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "degree":
-        raise ValueError(f"{filename}: expected 'degree N' header")
-    return parse_generators("\n".join(lines[1:]), int(header[1]))
+    return parse_group_text(_data_text(filename), filename)
 
 
 def _block_from_file(filename: str) -> frozenset[int]:

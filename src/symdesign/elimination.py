@@ -118,13 +118,12 @@ class AdmissiblePair:
     lam: int
 
 
-def admissible(v, k_bound, required_lambda=None, check_tits_p=None):
+def admissible(v, k_bound, required_lambda=None):
     """All k dividing k_bound that survive the flag-transitivity arithmetic.
 
     Constraints: 2 < k < v-1; (v-1) | k(k-1); lambda = k(k-1)/(v-1) prime;
-    lambda*v < k^2; lambda equals required_lambda when given.  Returns
-    (pairs, tits_ok) where tits_ok reports gcd(check_tits_p, v-1) == 1
-    (None when no prime was given).
+    lambda*v < k^2; lambda equals required_lambda when given.  Returns the
+    admissible (k, lambda) pairs in increasing k.
     """
     if v < 4:
         raise ValueError("admissible needs v >= 4")
@@ -142,10 +141,7 @@ def admissible(v, k_bound, required_lambda=None, check_tits_p=None):
         if not is_prime(lam):
             continue
         pairs.append(AdmissiblePair(k, lam))
-    tits_ok = None
-    if check_tits_p is not None:
-        tits_ok = math.gcd(check_tits_p, v - 1) == 1
-    return pairs, tits_ok
+    return pairs
 
 
 # --- inequality lemmas, evaluated exactly -----------------------------------
@@ -381,7 +377,7 @@ class RowReport:
 
 def run_row(row: CatalogRow) -> RowReport:
     try:
-        pairs, _ = admissible(row.v, row.k_bound, row.required_lambda)
+        pairs = admissible(row.v, row.k_bound, row.required_lambda)
     except Exception as exc:  # factorization trouble is reported, not raised
         return RowReport(row, (), "INCONCLUSIVE", str(exc))
     expected = EXPECTED_PAIRS.get(row.id, [])

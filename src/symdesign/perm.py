@@ -36,12 +36,13 @@ class Permutation:
         """Parse disjoint-cycle notation with 1-based points.
 
         Omitted points are fixed.  Whitespace between and inside cycles is
-        ignored.  The empty string is the identity.
+        ignored.  The empty string and '()' (as cycle_string writes it) are
+        the identity.
         """
         images = list(range(degree))
         seen: set[int] = set()
         stripped = re.sub(r"\s+", "", text)
-        if stripped:
+        if stripped not in ("", "()"):
             if not re.fullmatch(r"(\(\d+(,\d+)*\))+", stripped):
                 raise ValueError(f"malformed cycle notation: {text!r}")
             for cycle_text in re.findall(r"\(([^()]*)\)", stripped):
@@ -404,21 +405,6 @@ class PermutationGroup:
         renum = {c: i for i, c in enumerate(reps)}
         return BlockSystem(self.degree, tuple(renum[c] for c in class_of))
 
-    def elements(self):
-        """All group elements by breadth-first closure (small groups only)."""
-        seen = {Permutation.identity(self.degree)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = g * p
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return seen
-
 
 def parse_generators(text: str, degree: int) -> PermutationGroup:
     """Build a group from whitespace/newline-separated cycle-notation words.
@@ -434,14 +420,24 @@ def parse_generators(text: str, degree: int) -> PermutationGroup:
     return PermutationGroup(gens, degree)
 
 
+def parse_group_text(text: str, source) -> PermutationGroup:
+    """Parse group-file text: a `degree N` header (N >= 1), then one
+    generator per line.  `source` names the file in error messages."""
+    header_line, _, body = text.partition("\n")
+    header = header_line.split()
+    if len(header) != 2 or header[0] != "degree":
+        raise ValueError(f"{source}: expected 'degree N' header")
+    if not header[1].isdecimal() or int(header[1]) < 1:
+        raise ValueError(
+            f"{source}: bad header {header_line.strip()!r}: degree must be an integer >= 1"
+        )
+    return parse_generators(body, int(header[1]))
+
+
 def read_group_file(path) -> PermutationGroup:
     """Read a group file: `degree N` header, then one generator per line."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "degree":
-            raise ValueError(f"{path}: expected 'degree N' header")
-        degree = int(header[1])
-        return parse_generators(fh.read(), degree)
+        return parse_group_text(fh.read(), path)
 
 
 def write_group_file(path, group: PermutationGroup) -> None:

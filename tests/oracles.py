@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: primality by sieve,
 design verification by direct pair counting, group order by closure
-enumeration, minimal blocks by subset search, and admissibility by a full
-range scan.
+enumeration, minimal blocks by subset search, admissibility by a full range
+scan, and flag-transitivity in two steps (point orbit, then blocks through
+a point).
 """
 
 from __future__ import annotations
@@ -94,6 +95,28 @@ def brute_minimal_block(generators, degree, alpha, beta):
             if ok:
                 return cand
     return best  # pragma: no cover - full set is always a block
+
+
+def flag_transitive_two_step(G, D) -> bool:
+    """Cross-check: point-transitive and G_alpha transitive on blocks on alpha."""
+    if len(G.orbit(0)) != D.v:
+        return False
+    stab = G.point_stabilizer(0)
+    through = [b for b in D.blocks if 0 in b]
+    if not through:
+        return False
+    seen = {through[0]}
+    frontier = [through[0]]
+    while frontier:
+        nxt = []
+        for blk in frontier:
+            for g in stab.generators:
+                img = frozenset(g(x) for x in blk)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return len(seen) == len(through)
 
 
 def brute_admissible(v, k_bound, required_lambda=None):

@@ -231,7 +231,7 @@ def test_criterion_7_oracle_equivalence():
     rows = [r for r in load_catalog() if r.k_bound <= 10**7]
     assert rows, "no small catalog rows"
     for row in rows:
-        pairs, _ = admissible(row.v, row.k_bound, row.required_lambda)
+        pairs = admissible(row.v, row.k_bound, row.required_lambda)
         assert [(p.k, p.lam) for p in pairs] == brute_admissible(
             row.v, row.k_bound, row.required_lambda
         ), row.id

@@ -1,3 +1,5 @@
+import pytest
+
 from symdesign.cli import main
 from symdesign.design import read_design_file
 from symdesign.perm import read_group_file
@@ -105,6 +107,16 @@ def test_group_point_out_of_range(capsys, tmp_path):
     code, _, err = run(capsys, "group", "subdegrees", str(g_file), "--point", "12")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("degree", ["-3", "0", "x"])
+def test_group_bad_degree_header(capsys, tmp_path, degree):
+    g_file = tmp_path / "bad.grp"
+    g_file.write_text(f"degree {degree}\n(1,2)\n")
+    code, out, err = run(capsys, "group", "order", str(g_file))
+    assert code == 2
+    assert out == ""
+    assert f"error: {g_file}: bad header 'degree {degree}'" in err
 
 
 def test_flagtest_imprimitive(capsys, tmp_path):

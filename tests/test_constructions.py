@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +214,22 @@ def test_vendored_data_checksums():
     for name, digest in sums.items():
         actual = hashlib.sha256(data.joinpath(name).read_bytes()).hexdigest()
         assert actual == digest, name
+
+
+def test_vendored_data_regenerates_byte_for_byte(tmp_path, monkeypatch):
+    tool_path = Path(__file__).resolve().parents[1] / "tools" / "make_vendored_groups.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    spec = importlib.util.spec_from_file_location("make_vendored_groups", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "DATA", tmp_path)
+    makers = [getattr(tool, name) for name in dir(tool) if name.startswith("make_")]
+    assert len(makers) == 4
+    for make in makers:
+        make()
+    tool.write_checksums()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(tool.WRITTEN + ("SHA256SUMS",))
+    data = resources.files("symdesign.data")
+    for name in written:
+        assert (tmp_path / name).read_bytes() == data.joinpath(name).read_bytes(), name

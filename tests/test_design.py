@@ -2,13 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_verify_symmetric
+from oracles import brute_verify_symmetric, flag_transitive_two_step
 from symdesign.constructions import catalog, load_group, projective_space
 from symdesign.design import (
     DesignError,
     DesignParams,
     IncidenceStructure,
-    flag_transitive_two_step,
     is_flag_transitive,
     orbit_design,
     read_design_file,
@@ -187,6 +186,45 @@ def test_brute_pair_counter_agrees(name, params):
     assert brute_verify_symmetric(D.v, D.blocks) == params
     p = D.verify_symmetric()
     assert (p.v, p.k, p.lam) == params
+
+
+def _verify_or_none(v, blocks):
+    """verify_symmetric's answer in the oracle's terms: (v, k, lam) or None."""
+    try:
+        p = IncidenceStructure(v, blocks).verify_symmetric()
+    except DesignError:
+        return None
+    return (p.v, p.k, p.lam)
+
+
+# v >= 2: at v = 1 there is no point pair, so the oracle leaves lambda undefined
+@pytest.mark.parametrize("v", [2, 3, 4, 5])
+def test_verify_agrees_with_brute_on_all_small_families(v):
+    # every family of v distinct k-subsets: verify_symmetric no longer checks
+    # the dual block-pair condition, the oracle still does
+    for k in range(1, v + 1):
+        for blocks in combinations(combinations(range(v), k), v):
+            assert _verify_or_none(v, blocks) == brute_verify_symmetric(v, blocks), blocks
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog("fano_complement").design,
+        lambda: projective_space(4, 2),  # PG(3,2): (15,7,3)
+        lambda: catalog("paley_11_5_2").design,
+    ],
+    ids=["fano_complement", "pg_3_2", "paley_11_5_2"],
+)
+def test_verify_agrees_with_brute_on_one_point_perturbations(make):
+    D = make()
+    blocks = D.blocks_sorted()
+    assert _verify_or_none(D.v, blocks) == brute_verify_symmetric(D.v, blocks)
+    for i, blk in enumerate(blocks):
+        for old in blk:
+            for new in set(range(D.v)) - set(blk):
+                moved = blocks[:i] + [(set(blk) - {old}) | {new}] + blocks[i + 1 :]
+                assert _verify_or_none(D.v, moved) == brute_verify_symmetric(D.v, moved)
 
 
 def test_k_divides_lambda_times_subdegree():

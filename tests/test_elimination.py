@@ -109,42 +109,34 @@ def test_order_p_part_divisibility():
 
 
 def test_admissible_paley():
-    pairs, tits = admissible(11, 60)
+    pairs = admissible(11, 60)
     assert [(p.k, p.lam) for p in pairs] == [(5, 2), (6, 3)]
-    assert tits is None
 
 
 def test_admissible_fano():
-    pairs, _ = admissible(7, 24)
+    pairs = admissible(7, 24)
     assert pairs == [AdmissiblePair(4, 2)]
 
 
 def test_admissible_unitary():
-    pairs, _ = admissible(45, 1152)
+    pairs = admissible(45, 1152)
     assert pairs == [AdmissiblePair(12, 3)]
 
 
 def test_admissible_empty_cases():
-    assert admissible(28431, 645120)[0] == []
-    assert admissible(325, 360, 5)[0] == []
-    assert admissible(3159, 2903040)[0] == []
+    assert admissible(28431, 645120) == []
+    assert admissible(325, 360, 5) == []
+    assert admissible(3159, 2903040) == []
 
 
 def test_admissible_891():
-    pairs, _ = admissible(891, 446 * 223)
+    pairs = admissible(891, 446 * 223)
     assert AdmissiblePair(446, 223) in pairs
 
 
 def test_admissible_required_lambda_filter():
-    pairs, _ = admissible(11, 60, required_lambda=2)
+    pairs = admissible(11, 60, required_lambda=2)
     assert pairs == [AdmissiblePair(5, 2)]
-
-
-def test_admissible_tits_flag():
-    _, ok = admissible(11, 60, check_tits_p=5)
-    assert ok is False  # 5 divides 10
-    _, ok = admissible(11, 60, check_tits_p=3)
-    assert ok is True
 
 
 def test_admissible_rejects_tiny_v():
@@ -153,7 +145,7 @@ def test_admissible_rejects_tiny_v():
 
 
 def test_admissible_accepts_factorization():
-    pairs, _ = admissible(11, factorize(60))
+    pairs = admissible(11, factorize(60))
     assert len(pairs) == 2
 
 
@@ -174,7 +166,7 @@ def test_admissible_agrees_with_brute_scan():
         (1001, 5040, None),
     ]
     for v, bound, lam in cases:
-        pairs, _ = admissible(v, bound, lam)
+        pairs = admissible(v, bound, lam)
         assert [(p.k, p.lam) for p in pairs] == brute_admissible(v, bound, lam), (
             v,
             bound,

@@ -258,6 +258,16 @@ def test_group_file_round_trip(tmp_path):
     assert [g.images for g in H.generators] == [g.images for g in G.generators]
 
 
+def test_group_file_round_trip_identity_generator(tmp_path):
+    G = PermutationGroup([Permutation.identity(5), Permutation.from_cycles("(1,2,3)", 5)])
+    path = tmp_path / "g.grp"
+    write_group_file(path, G)
+    assert path.read_text() == "degree 5\n()\n(1,2,3)\n"
+    H = read_group_file(path)
+    assert [g.images for g in H.generators] == [g.images for g in G.generators]
+    assert H.order() == 3
+
+
 def test_group_file_bad_header(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_text("points 5\n(1,2)\n")

@@ -24,7 +24,7 @@ from symdesign.constructions import (
     pg_points,
 )
 from symdesign.design import is_flag_transitive, orbit_design
-from symdesign.perm import Permutation, PermutationGroup
+from symdesign.perm import Permutation, PermutationGroup, write_group_file
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "symdesign" / "data"
 
@@ -42,17 +42,15 @@ SIGMA_GENERATORS = [
 ]
 
 
-def write_group(filename: str, degree: int, gens: list[Permutation]) -> None:
-    text = f"degree {degree}\n" + "".join(g.cycle_string() + "\n" for g in gens)
-    (DATA / filename).write_text(text)
-    print(f"wrote {filename}: degree {degree}, {len(gens)} generators")
+# every file the tool writes, in SHA256SUMS order
+WRITTEN = ("psl2_11.grp", "psl2_7.grp", "psu4_2.grp", "sigma45.grp", "unitary_45_12_3.block")
 
 
 def make_sigma45() -> None:
     gens = [Permutation.from_cycles(s, 45) for s in SIGMA_GENERATORS]
     G = PermutationGroup(gens, 45)
     assert G.order() == 3240, G.order()
-    write_group("sigma45.grp", 45, gens)
+    write_group_file(DATA / "sigma45.grp", G)
 
 
 def make_psl2_7() -> None:
@@ -72,7 +70,7 @@ def make_psl2_7() -> None:
     b = mat_perm([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     G = PermutationGroup([a, b], 7)
     assert G.order() == 168, G.order()
-    write_group("psl2_7.grp", 7, [a, b])
+    write_group_file(DATA / "psl2_7.grp", G)
 
 
 def make_psl2_11() -> None:
@@ -120,7 +118,7 @@ def make_psl2_11() -> None:
     G = PermutationGroup(gens, 11)
     assert G.order() == 660, G.order()
     assert is_flag_transitive(G, D)
-    write_group("psl2_11.grp", 11, gens)
+    write_group_file(DATA / "psl2_11.grp", G)
 
 
 def make_psu4_2() -> None:
@@ -186,7 +184,7 @@ def make_psu4_2() -> None:
     params = D.verify_symmetric()
     assert (params.v, params.k, params.lam) == (45, 12, 3)
     assert is_flag_transitive(G, D)
-    write_group("psu4_2.grp", 45, gens)
+    write_group_file(DATA / "psu4_2.grp", G)
     (DATA / "unitary_45_12_3.block").write_text(
         ",".join(str(p + 1) for p in sorted(base_block)) + "\n"
     )
@@ -195,11 +193,9 @@ def make_psu4_2() -> None:
 
 def write_checksums() -> None:
     lines = []
-    for path in sorted(DATA.iterdir()):
-        if path.name == "SHA256SUMS":
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {path.name}\n")
+    for name in WRITTEN:
+        digest = hashlib.sha256((DATA / name).read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}\n")
     (DATA / "SHA256SUMS").write_text("".join(lines))
     print("wrote SHA256SUMS")
 
