@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, parse_header
 
 
 class DesignError(ValueError):
@@ -178,17 +178,25 @@ def orbit_design(G: PermutationGroup, base_block) -> IncidenceStructure:
 
 
 def read_design_file(path) -> IncidenceStructure:
-    """Read a design file: `v N` header, then one block per line (1-based)."""
+    """Read a design file: `v N` header (N >= 1), then one block per line,
+    its points 1-based and comma-separated."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "v":
-            raise ValueError(f"{path}: expected 'v N' header")
-        v = int(header[1])
+        v = parse_header(fh.readline(), "v", path)
         blocks = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                blocks.append([int(s) - 1 for s in line.split(",")])
+            if not line:
+                continue
+            try:
+                block = [int(f) - 1 for f in line.split(",")]
+                if min(block) < 0 or max(block) >= v:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: bad block {line!r}:"
+                    f" points must be integers in 1..{v}"
+                ) from None
+            blocks.append(block)
         return IncidenceStructure(v, blocks)
 
 

@@ -1,9 +1,10 @@
 """Permutations and permutation groups.
 
 Points are 0-based everywhere inside the library; the cycle-notation text
-format and the group file format use 1-based labels.  Groups carry a lazily
-built stabilizer chain (deterministic Schreier-Sims) that provides order,
-membership testing and point stabilizers.
+format and the group file format use 1-based labels.  Groups carry lazily
+built stabilizer chains that provide order, membership testing and point
+stabilizers: Knuth's deterministic form of Schreier-Sims over a full base,
+in which every point is a base point.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from math import prod
 
 
 class Permutation:
@@ -106,112 +107,70 @@ class Permutation:
 
 
 class _StabilizerChain:
-    """Base, strong generators and transversals for a group.
+    """Stabilizer chain over a full base, built by Knuth's Schreier-Sims.
 
-    Built by the deterministic (incremental) Schreier-Sims algorithm.
-    gens[i] generates the stabilizer of base[0..i-1]; transversals[i] maps
-    each point of the orbit of base[i] under that stabilizer to a coset
-    representative carrying base[i] to it.
+    Every point is a base point: `first`, then the others in ascending
+    order.  gens[i] alone generates the stabilizer of base[:i] (gens[-1],
+    the stabilizer of every point, stays empty); transversals[i] maps each
+    point x of the orbit of base[i] under it to the inverse of a
+    representative carrying base[i] to x.
     """
 
-    def __init__(self, generators, degree, base_prefix=()):
-        self.degree = degree
-        self.base: list[int] = []
-        self.gens: list[list[Permutation]] = []
-        self.transversals: list[dict[int, Permutation]] = []
-        self._prefix = list(base_prefix)
-        top = [g for g in generators if not g.is_identity()]
-        if top:
-            self._insert_level(self._new_base_point(top))
-            self.gens[0] = list(top)
-            self._build(0)
+    def __init__(self, generators, degree, first):
+        identity = Permutation.identity(degree)
+        self.base = [first] + [pt for pt in range(degree) if pt != first]
+        self.gens: list[list[Permutation]] = [[] for _ in range(degree + 1)]
+        self.transversals = [{b: identity} for b in self.base]
+        self._absorb(generators)
 
-    def _new_base_point(self, gens_here) -> int:
-        """A base point moved by some generator; prefix points first."""
-        for b in self._prefix:
-            if b not in self.base and any(g(b) != b for g in gens_here):
-                return b
-        for pt in range(self.degree):
-            if pt not in self.base and any(g(pt) != pt for g in gens_here):
-                return pt
-        raise AssertionError("all generators trivial")  # pragma: no cover
+    def _absorb(self, generators) -> None:
+        """Knuth's procedures A and B as one worklist, so nothing recurses.
 
-    def _insert_level(self, base_point: int) -> None:
-        self.base.append(base_point)
-        self.gens.append([])
-        self.transversals.append({})
-
-    def _gens_at(self, level: int) -> list[Permutation]:
-        """Generators of the level-th stabilizer: everything stored at this
-        level or deeper (deeper generators fix a longer base prefix)."""
-        return [g for lv in range(level, len(self.gens)) for g in self.gens[lv]]
-
-    def _orbit_transversal(self, level: int) -> None:
-        b = self.base[level]
-        gens_here = self._gens_at(level)
-        tr = {b: Permutation.identity(self.degree)}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                rep = tr[pt]
-                for g in gens_here:
-                    img = g(pt)
-                    if img not in tr:
-                        tr[img] = g * rep
-                        nxt.append(img)
-            frontier = nxt
-        self.transversals[level] = tr
-
-    def strip(self, g: Permutation, level: int = 0) -> tuple[Permutation, int]:
-        """Sift g through levels >= level; returns (residue, stop level)."""
-        for lv in range(level, len(self.base)):
-            img = g(self.base[lv])
-            tr = self.transversals[lv]
-            if img not in tr:
-                return g, lv
-            g = tr[img].inverse() * g
-        return g, len(self.base)
-
-    def _build(self, level: int) -> None:
-        """Establish the chain condition at this level and all deeper ones.
-
-        Restarts whenever a new strong generator is found, because adding a
-        generator at a deeper level can enlarge this level's orbit.
+        An item (level, g, True) is a candidate generator fixing base[:level]:
+        unless it sifts to the identity it joins gens[level] and meets every
+        representative there.  An item (level, p, False) is such a product: a
+        new image of base[level] takes p as its representative and meets
+        every generator there; a known image gives a Schreier generator for
+        level + 1.  Each generator meets each representative once, when the
+        later of the two appears, and nothing restarts.
         """
-        while True:
-            self._orbit_transversal(level)
-            tr = self.transversals[level]
-            gens_here = self._gens_at(level)
-            clean = True
-            for pt in list(tr):
-                rep = tr[pt]
-                for g in gens_here:
-                    schreier = tr[g(pt)].inverse() * (g * rep)
-                    residue, rlevel = self.strip(schreier, level + 1)
-                    if residue.is_identity():
-                        continue
-                    if rlevel == len(self.base):
-                        self._insert_level(self._new_base_point([residue]))
-                    self.gens[rlevel].append(residue)
-                    for lv in range(rlevel, level, -1):
-                        self._build(lv)
-                    clean = False
-                    break
-                if not clean:
-                    break
-            if clean:
-                return
+        # forward representatives; each level starts at the identity, its own inverse
+        reps = [dict(tr) for tr in self.transversals]
+        work = [(0, g, True) for g in reversed(generators)]
+        while work:
+            level, p, is_gen = work.pop()
+            if is_gen:
+                if not self.strip(p).is_identity():
+                    self.gens[level].append(p)
+                    work.extend((level, p * u, False) for u in reps[level].values())
+                continue
+            img = p(self.base[level])
+            inv = self.transversals[level].get(img)
+            if inv is None:
+                reps[level][img] = p
+                self.transversals[level][img] = p.inverse()
+                work.extend((level, g * p, False) for g in self.gens[level])
+            else:
+                work.append((level + 1, inv * p, True))
+
+    def strip(self, g: Permutation) -> Permutation:
+        """Sift g through every level; the residue is the identity iff g is
+        in the group.  A level whose base point g fixes has the identity as
+        its representative and is skipped."""
+        for b, tr in zip(self.base, self.transversals):
+            img = g(b)
+            if img != b:
+                inv = tr.get(img)
+                if inv is None:
+                    return g
+                g = inv * g
+        return g
 
     def order(self) -> int:
-        return reduce(lambda n, tr: n * len(tr), self.transversals, 1)
+        return prod(len(tr) for tr in self.transversals)
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self.strip(g)
-        return residue.is_identity()
-
-    def strong_generators(self) -> list[Permutation]:
-        return [g for level in self.gens for g in level]
+        return self.strip(g).is_identity()
 
 
 @dataclass(frozen=True)
@@ -255,15 +214,15 @@ class PermutationGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators = generators
-        self._chains: dict[tuple[int, ...], _StabilizerChain] = {}
+        self._chains: dict[int, _StabilizerChain] = {}
         self._lock = threading.Lock()
 
-    def _chain(self, base_prefix=()) -> _StabilizerChain:
-        key = tuple(base_prefix)
+    def _chain(self, first: int = 0) -> _StabilizerChain:
+        """The chain whose base starts at `first`, built once."""
         with self._lock:
-            if key not in self._chains:
-                self._chains[key] = _StabilizerChain(self.generators, self.degree, key)
-            return self._chains[key]
+            if first not in self._chains:
+                self._chains[first] = _StabilizerChain(self.generators, self.degree, first)
+            return self._chains[first]
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
@@ -304,12 +263,7 @@ class PermutationGroup:
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
-        chain = self._chain(base_prefix=(point,))
-        if not chain.base or chain.base[0] != point:
-            # point is fixed by the whole group
-            return PermutationGroup(self.generators, self.degree)
-        gens = [g for g in chain.strong_generators() if g(point) == point]
-        return PermutationGroup(gens, self.degree)
+        return PermutationGroup(self._chain(point).gens[1], self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
         """Sorted orbit lengths of the stabilizer of point (G transitive)."""
@@ -420,18 +374,24 @@ def parse_generators(text: str, degree: int) -> PermutationGroup:
     return PermutationGroup(gens, degree)
 
 
+def parse_header(line: str, keyword: str, source) -> int:
+    """N from a `keyword N` header line of a group or design file, where N
+    must be a decimal integer >= 1.  `source` names the file in errors."""
+    fields = line.split()
+    if len(fields) != 2 or fields[0] != keyword:
+        raise ValueError(f"{source}: expected '{keyword} N' header")
+    if not fields[1].isdecimal() or int(fields[1]) < 1:
+        raise ValueError(
+            f"{source}: bad header {line.strip()!r}: {keyword} must be an integer >= 1"
+        )
+    return int(fields[1])
+
+
 def parse_group_text(text: str, source) -> PermutationGroup:
     """Parse group-file text: a `degree N` header (N >= 1), then one
     generator per line.  `source` names the file in error messages."""
     header_line, _, body = text.partition("\n")
-    header = header_line.split()
-    if len(header) != 2 or header[0] != "degree":
-        raise ValueError(f"{source}: expected 'degree N' header")
-    if not header[1].isdecimal() or int(header[1]) < 1:
-        raise ValueError(
-            f"{source}: bad header {header_line.strip()!r}: degree must be an integer >= 1"
-        )
-    return parse_generators(body, int(header[1]))
+    return parse_generators(body, parse_header(header_line, "degree", source))
 
 
 def read_group_file(path) -> PermutationGroup:

@@ -119,6 +119,26 @@ def test_group_bad_degree_header(capsys, tmp_path, degree):
     assert f"error: {g_file}: bad header 'degree {degree}'" in err
 
 
+@pytest.mark.parametrize("v", ["-3", "0", "x"])
+def test_verify_bad_design_header(capsys, tmp_path, v):
+    d_file = tmp_path / "bad.design"
+    d_file.write_text(f"v {v}\n1,2\n")
+    code, out, err = run(capsys, "verify", str(d_file))
+    assert code == 2
+    assert out == ""
+    assert f"error: {d_file}: bad header 'v {v}'" in err
+
+
+@pytest.mark.parametrize("block", ["2,x", "0,1", "1,8"])
+def test_verify_bad_block_entry(capsys, tmp_path, block):
+    d_file = tmp_path / "bad.design"
+    d_file.write_text(f"v 7\n1,2,4\n{block}\n")
+    code, out, err = run(capsys, "verify", str(d_file))
+    assert code == 2
+    assert out == ""
+    assert f"error: {d_file}: line 3: bad block '{block}'" in err
+
+
 def test_flagtest_imprimitive(capsys, tmp_path):
     d_file = tmp_path / "d.design"
     g_file = tmp_path / "g.grp"

@@ -1,9 +1,10 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
-from oracles import brute_group_order, brute_minimal_block
+from oracles import brute_elements, brute_group_order, brute_minimal_block
 from symdesign.constructions import load_group
 from symdesign.perm import (
     Permutation,
@@ -150,6 +151,22 @@ def test_orbit_stabilizer_identity():
             )
 
 
+def check_chain_against_brute(G):
+    """Order, membership and every point stabilizer of G against the
+    closure of its generators."""
+    degree = G.degree
+    raw = [g.images for g in G.generators]
+    elements = brute_elements(raw, degree)
+    assert G.order() == len(elements)
+    if degree <= 6:
+        for images in permutations(range(degree)):
+            assert G.contains(Permutation(images)) == (images in elements), images
+    for a in range(degree):
+        stab = G.point_stabilizer(a)
+        assert all(g(a) == a and g.images in elements for g in stab.generators)
+        assert stab.order() == sum(1 for p in elements if p[a] == a)
+
+
 def test_schreier_sims_vs_brute_closure():
     rng = random.Random(20260823)
     checked = 0
@@ -165,7 +182,22 @@ def test_schreier_sims_vs_brute_closure():
         if brute > 10**4:  # pragma: no cover - degree cap keeps this small
             continue
         assert G.order() == brute
+        check_chain_against_brute(G)
         checked += 1
+    for G in (
+        PermutationGroup([], 5),
+        PermutationGroup([Permutation.identity(5)]),
+        PermutationGroup([], 1),
+        PermutationGroup([Permutation.identity(1)]),
+    ):
+        check_chain_against_brute(G)
+
+
+def test_deep_chain_symmetric_30():
+    # a 30-level chain: every base point has a full orbit
+    G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
+    assert G.order() == factorial(30)
+    assert G.point_stabilizer(29).order() == factorial(29)
 
 
 def test_subdegrees_sym3():

@@ -159,18 +159,13 @@ def make_psu4_2() -> None:
             images.append(index[normalize(img)])
         return Permutation(images)
 
-    gens: list[Permutation] = []
-    order = 1
+    G = PermutationGroup([], 45)
     for v in iso:
         t = transvection(v)
-        if not PermutationGroup(gens or [t], 45).contains(t) or not gens:
-            cand = gens + [t]
-            new_order = PermutationGroup(cand, 45).order()
-            if new_order > order:
-                gens, order = cand, new_order
-                if order == 25920:
-                    break
-    G = PermutationGroup(gens, 45)
+        if not G.contains(t):
+            G = PermutationGroup(G.generators + [t], 45)
+            if G.order() == 25920:
+                break
     assert G.order() == 25920, G.order()
     assert G.is_transitive()
     primitive, _ = G.is_primitive()
