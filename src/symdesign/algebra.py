@@ -8,6 +8,7 @@ used so callers can flag probabilistic answers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,12 +28,12 @@ __all__ = [
 # Deterministic for all n < 2**64 (Sorenson & Webster witness set).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SMALL_PRIME_LIMIT = 1_000_000
+_SMALL_PRIME_LIMIT = 10_000
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    """Primes below 10**6 by sieve of Eratosthenes."""
+    """Primes below 10**4 by sieve of Eratosthenes."""
     limit = _SMALL_PRIME_LIMIT
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
@@ -199,7 +200,12 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete factorization by trial division to 10**6, then Pollard rho."""
+    """Complete factorization.
+
+    Trial division by the primes below 10**4 strips the small factors.  Each
+    cofactor left over is recorded when ``is_prime`` says it is prime, and
+    otherwise split by Pollard rho, whose parts are treated the same way.
+    """
     if n < 2:
         raise ValueError("factorize needs n >= 2")
     value = n
@@ -225,20 +231,27 @@ def factorize(n: int) -> Factorization:
 
 
 def divisors(f: Factorization, lo: int = 1, hi: int | None = None):
-    """All divisors d of f.value with lo <= d <= hi, ascending, each once."""
+    """All divisors d of f.value with lo <= d <= hi, ascending, each once.
+
+    Only the divisors up to hi are built: a partial product above hi is
+    dropped as it appears, since every multiple of it is above hi too.
+    """
     if hi is None:
         hi = f.value
     if lo > hi:
         raise ValueError("empty range: lo > hi")
-    divs = [1]
+    divs = [1] if hi >= 1 else []
     for p, e in f.factors:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
+        grown = []
+        for d in divs:
+            for _ in range(e):
+                d *= p
+                if d > hi:
+                    break
+                grown.append(d)
+        divs += grown
     divs.sort()
-    for d in divs:
-        if d > hi:
-            break
-        if d >= lo:
-            yield d
+    yield from divs[bisect.bisect_left(divs, lo):]
 
 
 @dataclass(frozen=True)
@@ -259,20 +272,10 @@ class PrimePower:
     @classmethod
     def of(cls, q: int) -> "PrimePower":
         """Recognize q as p**a or raise."""
-        if q < 2:
+        factors = factorize(q).factors if q >= 2 else ()
+        if len(factors) != 1:
             raise ValueError(f"{q} is not a prime power")
-        for p in _small_primes():
-            if q % p == 0:
-                a = 0
-                while q % p == 0:
-                    q //= p
-                    a += 1
-                if q != 1:
-                    raise ValueError("not a prime power")
-                return cls(p, a)
-        if is_prime(q):
-            return cls(q, 1)
-        raise ValueError(f"{q} is not a prime power")
+        return cls(*factors[0])
 
 
 # --- polynomial helpers over GF(p), coefficient lists low-degree first ---

@@ -135,7 +135,10 @@ def _cmd_flagtest(args) -> int:
 
 def _cmd_eliminate(args) -> int:
     if args.table:
-        reports = elimination.run_catalog(args.table)
+        try:
+            reports = elimination.run_catalog(args.table)
+        except ValueError as exc:
+            raise SystemExit2(str(exc))
         bad = 0
         for rep in reports:
             pairs = " ".join(f"({p.k},{p.lam})" for p in rep.pairs) or "EMPTY"
@@ -147,7 +150,10 @@ def _cmd_eliminate(args) -> int:
         return 0 if bad == 0 else 1
     if args.v is None or args.bound is None:
         raise SystemExit2("eliminate needs --table ID or both --v and --bound")
-    pairs = elimination.admissible(args.v, args.bound, args.required_lambda)
+    try:
+        pairs = elimination.admissible(args.v, args.bound, args.required_lambda)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
     if pairs:
         print(" ".join(f"({p.k},{p.lam})" for p in pairs))
     else:

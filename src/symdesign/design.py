@@ -187,8 +187,9 @@ def read_design_file(path) -> IncidenceStructure:
             line = line.strip()
             if not line:
                 continue
+            fields = line.split(",")
             try:
-                block = [int(f) - 1 for f in line.split(",")]
+                block = frozenset([int(f) - 1 for f in fields])
                 if min(block) < 0 or max(block) >= v:
                     raise ValueError
             except ValueError:
@@ -196,6 +197,12 @@ def read_design_file(path) -> IncidenceStructure:
                     f"{path}: line {lineno}: bad block {line!r}:"
                     f" points must be integers in 1..{v}"
                 ) from None
+            if len(block) != len(fields):
+                pts = [int(f) for f in fields]
+                repeat = next(pt for i, pt in enumerate(pts) if pt in pts[:i])
+                raise ValueError(
+                    f"{path}: line {lineno}: bad block {line!r}: repeated point {repeat}"
+                )
             blocks.append(block)
         return IncidenceStructure(v, blocks)
 

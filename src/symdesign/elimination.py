@@ -130,6 +130,8 @@ def admissible(v, k_bound, required_lambda=None):
     f = k_bound if isinstance(k_bound, Factorization) else factorize(k_bound)
     pairs = []
     hi = min(f.value, v - 2)
+    if hi < 3:
+        return pairs
     for k in divisors(f, 3, hi):
         if k * (k - 1) % (v - 1):
             continue

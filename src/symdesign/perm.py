@@ -364,13 +364,17 @@ def parse_generators(text: str, degree: int) -> PermutationGroup:
     """Build a group from whitespace/newline-separated cycle-notation words.
 
     Each nonempty line is one generator.  An empty text gives the trivial
-    group.
+    group.  A bad generator raises ValueError naming its line of `text`,
+    counted from 1.
     """
     gens = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line:
-            gens.append(Permutation.from_cycles(line, degree))
+            try:
+                gens.append(Permutation.from_cycles(line, degree))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return PermutationGroup(gens, degree)
 
 
@@ -390,8 +394,13 @@ def parse_header(line: str, keyword: str, source) -> int:
 def parse_group_text(text: str, source) -> PermutationGroup:
     """Parse group-file text: a `degree N` header (N >= 1), then one
     generator per line.  `source` names the file in error messages."""
-    header_line, _, body = text.partition("\n")
-    return parse_generators(body, parse_header(header_line, "degree", source))
+    header_line, newline, body = text.partition("\n")
+    degree = parse_header(header_line, "degree", source)
+    try:
+        # the header's line stays in, blank, so errors give the file's line numbers
+        return parse_generators(newline + body, degree)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def read_group_file(path) -> PermutationGroup:

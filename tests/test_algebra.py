@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,29 @@ def test_factorize_random_reconstruction():
         assert prod == n
 
 
+# primes above 10**6, beyond the old trial-division table
+_LARGE_PRIMES = (1000003, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+
+
+def test_factorize_products_of_mid_primes():
+    """Primes in (10**4, 10**6) are past trial division and go to rho:
+    p^2, p^3, p*q, p*q*r and p^2*q, each also times a prime above 10**6."""
+    flags = sieve_primes(10**6)
+    mid = [p for p in range(10**4, 10**6) if flags[p]]
+    rng = random.Random(20261018)
+    for shape in ((2,), (3,), (1, 1), (1, 1, 1), (2, 1)):
+        for _ in range(40):
+            primes = []
+            for e in shape:
+                primes += [rng.choice(mid)] * e
+            for extra in ([], [rng.choice(_LARGE_PRIMES)]):
+                n = 1
+                for p in primes + extra:
+                    n *= p
+                expected = tuple(sorted(Counter(primes + extra).items()))
+                assert factorize(n).factors == expected, n
+
+
 def test_factorization_rejects_bad_list():
     with pytest.raises(ValueError):
         Factorization(10, ((2, 1), (3, 1)))
@@ -80,6 +105,43 @@ def test_divisors_streams():
     assert all(645120 % d == 0 for d in ds)
 
 
+def test_divisors_match_brute_filter():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 10007, 1000003], rng.randrange(0, 5))
+        factors = tuple(sorted((p, rng.randrange(1, 5)) for p in primes))
+        n = 1
+        for p, e in factors:
+            n *= p**e
+        f = Factorization(n, factors)
+        every = []
+        for exps in itertools.product(*(range(e + 1) for _, e in factors)):
+            d = 1
+            for (p, _), i in zip(factors, exps):
+                d *= p**i
+            every.append(d)
+        every.sort()
+        divisor = rng.choice(every)
+        below_primes = factors[0][0] - 1 if factors else 1  # only 1 is in range
+        for lo, hi in (
+            (1, None),
+            (divisor, None),
+            (divisor, divisor),
+            (rng.randrange(1, n + 1),) * 2,
+            (1, below_primes),
+            (-3, 0),
+            (1, rng.randrange(1, n + 1)),
+            (rng.randrange(1, n + 1), n + rng.randrange(0, 3)),
+        ):
+            top = n if hi is None else hi
+            if lo > top:
+                with pytest.raises(ValueError):
+                    list(divisors(f, lo, hi))
+                continue
+            got = list(divisors(f, lo, hi))
+            assert got == [d for d in every if lo <= d <= top], (factors, lo, hi)
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=5000))
 def test_divisor_count_matches_enumeration(n):
@@ -90,6 +152,11 @@ def test_divisor_count_matches_enumeration(n):
 def test_prime_power_recognition():
     assert PrimePower.of(81) == PrimePower(3, 4)
     assert PrimePower.of(2).q == 2
+    # p above the trial-division table
+    assert PrimePower.of(10007**2) == PrimePower(10007, 2)
+    assert PrimePower.of(1000003**2) == PrimePower(1000003, 2)
+    with pytest.raises(ValueError, match="is not a prime power"):
+        PrimePower.of(10007 * 1000003)
     with pytest.raises(ValueError):
         PrimePower.of(12)
     with pytest.raises(ValueError):

@@ -119,6 +119,22 @@ def test_group_bad_degree_header(capsys, tmp_path, degree):
     assert f"error: {g_file}: bad header 'degree {degree}'" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("(1,2)\n(1,2\n", "line 3: malformed cycle notation: '(1,2'"),
+        ("(1,2)\n\n(1,9)\n", "line 4: point 9 out of range 1..5"),
+    ],
+)
+def test_group_bad_generator_line(capsys, tmp_path, body, message):
+    g_file = tmp_path / "bad.grp"
+    g_file.write_text("degree 5\n" + body)
+    code, out, err = run(capsys, "group", "order", str(g_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {g_file}: {message}\n"
+
+
 @pytest.mark.parametrize("v", ["-3", "0", "x"])
 def test_verify_bad_design_header(capsys, tmp_path, v):
     d_file = tmp_path / "bad.design"
@@ -137,6 +153,19 @@ def test_verify_bad_block_entry(capsys, tmp_path, block):
     assert code == 2
     assert out == ""
     assert f"error: {d_file}: line 3: bad block '{block}'" in err
+
+
+def test_verify_block_with_repeated_point(capsys, tmp_path):
+    d_file = tmp_path / "d.design"
+    run(capsys, "construct", "fano_complement", "-o", str(d_file))
+    lines = d_file.read_text().splitlines()
+    assert lines[1] == "1,2,4,7"
+    lines[1] = "1,1,2,4,7"
+    d_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", str(d_file))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {d_file}: line 2: bad block '1,1,2,4,7': repeated point 1\n"
 
 
 def test_flagtest_imprimitive(capsys, tmp_path):
@@ -171,6 +200,24 @@ def test_eliminate_empty_scan(capsys):
     code, out, _ = run(capsys, "eliminate", "--v", "28431", "--bound", "645120")
     assert code == 0
     assert out.strip() == "EMPTY"
+
+
+def test_eliminate_range_below_three_is_empty(capsys):
+    code, out, err = run(capsys, "eliminate", "--v", "4", "--bound", "12")
+    assert (code, out, err) == (0, "EMPTY\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--v", "3", "--bound", "12"], "admissible needs v >= 4"),
+        (["--v", "11", "--bound", "1"], "factorize needs n >= 2"),
+        (["--table", "t2"], "no catalog rows match 't2'"),
+    ],
+)
+def test_eliminate_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, "eliminate", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_eliminate_table(capsys):

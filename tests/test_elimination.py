@@ -127,6 +127,9 @@ def test_admissible_empty_cases():
     assert admissible(28431, 645120) == []
     assert admissible(325, 360, 5) == []
     assert admissible(3159, 2903040) == []
+    # min(k_bound, v - 2) < 3 leaves no k to scan
+    assert admissible(7, 2) == []
+    assert admissible(4, 12) == []
 
 
 def test_admissible_891():
