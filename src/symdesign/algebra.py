@@ -158,12 +158,6 @@ class Factorization:
         if prod != self.value:
             raise ValueError("factor list does not reconstruct the value")
 
-    def divisor_count(self) -> int:
-        n = 1
-        for _, e in self.factors:
-            n *= e + 1
-        return n
-
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite n (Brent's cycle variant).
@@ -410,13 +404,6 @@ class FieldTable:
         if x == 0:
             raise ZeroDivisionError("inversion of zero in GF(q)")
         return self.exp[(-self.log[x]) % (self.q - 1)]
-
-    def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0**e with e <= 0")
-            return 0
-        return self.exp[(self.log[x] * e) % (self.q - 1)]
 
     def elements(self) -> range:
         return range(self.q)

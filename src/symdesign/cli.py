@@ -18,8 +18,11 @@ def _cmd_construct(args) -> int:
     if args.what[0] == "pg":
         if len(args.what) != 3:
             raise SystemExit2("construct pg needs: pg N Q")
-        n, q = int(args.what[1]), int(args.what[2])
-        D = constructions.projective_space(n, q)
+        try:
+            n, q = int(args.what[1]), int(args.what[2])
+            D = constructions.projective_space(n, q)
+        except ValueError as exc:
+            raise SystemExit2(str(exc))
         group = None
         label = f"pg({n},{q})"
     elif args.what[0] == "diffset":
@@ -31,9 +34,12 @@ def _cmd_construct(args) -> int:
                 f"unknown ambient group {ambient_name!r}; choose from"
                 f" {sorted(constructions._AMBIENTS)}"
             )
-        spec = constructions.find_difference_set(
-            constructions._AMBIENTS[ambient_name](), int(args.what[2]), int(args.what[3])
-        )
+        try:
+            spec = constructions.find_difference_set(
+                constructions._AMBIENTS[ambient_name](), int(args.what[2]), int(args.what[3])
+            )
+        except ValueError as exc:
+            raise SystemExit2(str(exc))
         if spec is None:
             print("no difference set found")
             return 1

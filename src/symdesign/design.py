@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .perm import Permutation, PermutationGroup, parse_header
+from .perm import Permutation, PermutationGroup, orbit_of, parse_header
 
 
 class DesignError(ValueError):
@@ -37,25 +37,22 @@ class DesignParams:
 
 
 class IncidenceStructure:
-    """Points 0..v-1 and a list of blocks (deduplicated, stored sorted)."""
+    """Points 0..v-1 and a list of blocks, repeats included."""
 
     def __init__(self, v: int, blocks):
         if v < 1:
             raise ValueError("v must be positive")
         norm = []
-        seen = set()
         for blk in blocks:
             fb = frozenset(blk)
             if not fb:
                 raise ValueError("empty block")
             if any(not 0 <= pt < v for pt in fb):
                 raise ValueError("block point out of range")
-            if fb not in seen:
-                seen.add(fb)
-                norm.append(fb)
+            norm.append(fb)
         self.v = v
         self.blocks = norm
-        self.block_set = seen
+        self.block_set = set(norm)
 
     def blocks_sorted(self) -> list[tuple[int, ...]]:
         """Blocks as sorted tuples, ordered lexicographically."""
@@ -65,12 +62,18 @@ class IncidenceStructure:
         """Check the symmetric 2-design conditions, returning (v, k, λ).
 
         Raises DesignError with a code identifying the first violation:
-        block_count, block_size, or pair_count.  The dual condition needs no
-        check: v distinct blocks of size k covering every point pair exactly
-        lambda times form a symmetric design, so by Ryser's theorem any two
-        blocks meet in exactly lambda points.
+        repeated_block, block_count, block_size, or pair_count.  The dual
+        condition needs no check: v distinct blocks of size k covering every
+        point pair exactly lambda times form a symmetric design, so by
+        Ryser's theorem any two blocks meet in exactly lambda points.
         """
         v = self.v
+        if len(self.block_set) != len(self.blocks):
+            repeat = next(b for i, b in enumerate(self.blocks) if b in self.blocks[:i])
+            raise DesignError(
+                "repeated_block",
+                f"block {','.join(str(pt + 1) for pt in sorted(repeat))} is repeated",
+            )
         if len(self.blocks) != v:
             raise DesignError(
                 "block_count", f"{len(self.blocks)} blocks for {v} points"
@@ -105,25 +108,14 @@ class IncidenceStructure:
     def is_automorphism(self, g: Permutation) -> bool:
         if g.degree != self.v:
             raise ValueError("degree mismatch")
-        return all(
-            frozenset(g(pt) for pt in blk) in self.block_set for blk in self.blocks
-        )
-
-    def flags(self) -> list[tuple[int, int]]:
-        """All incident (point, block-index) pairs."""
-        return [
-            (pt, i) for i, blk in enumerate(self.blocks) for pt in sorted(blk)
-        ]
+        return all(g.image(blk) in self.block_set for blk in self.blocks)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IncidenceStructure)
             and self.v == other.v
-            and self.block_set == other.block_set
+            and self.blocks_sorted() == other.blocks_sorted()
         )
-
-    def __hash__(self):  # pragma: no cover - structures used as dict keys rarely
-        return hash((self.v, frozenset(self.block_set)))
 
 
 def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
@@ -141,19 +133,12 @@ def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
         raise ValueError("no blocks")
     flag_total = sum(len(b) for b in D.blocks)
     start_block = D.blocks[0]
-    start = (min(start_block), start_block)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pt, blk in frontier:
-            for g in G.generators:
-                img = (g(pt), frozenset(g(x) for x in blk))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen) == flag_total
+    flags = orbit_of(
+        (min(start_block), start_block),
+        G.generators,
+        lambda g, flag: (g.images[flag[0]], g.image(flag[1])),
+    )
+    return len(flags) == flag_total
 
 
 def orbit_design(G: PermutationGroup, base_block) -> IncidenceStructure:
@@ -163,18 +148,7 @@ def orbit_design(G: PermutationGroup, base_block) -> IncidenceStructure:
         raise ValueError("base block is empty")
     if any(not 0 <= pt < G.degree for pt in base):
         raise ValueError("base block point out of range")
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for blk in frontier:
-            for g in G.generators:
-                img = frozenset(g(pt) for pt in blk)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return IncidenceStructure(G.degree, seen)
+    return IncidenceStructure(G.degree, orbit_of(base, G.generators, Permutation.image))
 
 
 def read_design_file(path) -> IncidenceStructure:

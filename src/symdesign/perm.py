@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -78,6 +79,10 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point]
+
+    def image(self, points) -> frozenset[int]:
+        """The image of a set of points."""
+        return frozenset(map(self.images.__getitem__, points))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(x) = self(other(x))."""
@@ -227,18 +232,7 @@ class PermutationGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for g in self.generators:
-                    img = g(pt)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(orbit_of(point, self.generators, Permutation.__call__))
 
     def orbits(self) -> list[frozenset[int]]:
         out = []
@@ -272,17 +266,17 @@ class PermutationGroup:
         stab = self.point_stabilizer(point)
         return sorted(len(orb) for orb in stab.orbits())
 
-    def minimal_block(self, alpha: int, beta: int) -> frozenset[int]:
-        """Smallest block of imprimitivity containing {alpha, beta}.
+    def _congruence(self, points) -> list[int]:
+        """The finest G-invariant partition that has `points` in one class,
+        as the smallest point of each point's class.
 
-        Union-find refinement: start from the partition merging alpha with
-        beta and repeatedly merge classes that some generator maps across.
+        Union-find: merging two classes queues their roots, and each queued
+        pair (x, y) merges g(x) with g(y) for every generator g.  At most
+        n - 1 merges happen, so at most (n - 1) * |generators| pairs are
+        examined, whatever the set.
         """
-        if not self.is_transitive():
-            raise ValueError("blocks require a transitive group")
-        if alpha == beta:
-            raise ValueError("alpha and beta must differ")
         parent = list(range(self.degree))
+        queue = []
 
         def find(x):
             while parent[x] != x:
@@ -292,23 +286,31 @@ class PermutationGroup:
 
         def union(x, y):
             rx, ry = find(x), find(y)
-            if rx == ry:
-                return None
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            return rx, ry
+            if rx != ry:
+                # the smaller point stays the root, so roots are class minima
+                if rx > ry:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                queue.append((rx, ry))
 
-        queue = [(alpha, beta)]
-        union(alpha, beta)
-        while queue:
-            x, y = queue.pop()
+        points = list(points)
+        for pt in points[1:]:
+            union(points[0], pt)
+        for x, y in queue:
             for g in self.generators:
-                merged = union(g(x), g(y))
-                if merged:
-                    queue.append(merged)
-        root = find(alpha)
-        return frozenset(pt for pt in range(self.degree) if find(pt) == root)
+                union(g(x), g(y))
+        return [find(pt) for pt in range(self.degree)]
+
+    def minimal_block(self, alpha: int, beta: int) -> frozenset[int]:
+        """Smallest block of imprimitivity containing {alpha, beta}.
+
+        The classes of a G-invariant partition are blocks, so this holds for
+        transitive and intransitive groups alike.
+        """
+        if alpha == beta:
+            raise ValueError("alpha and beta must differ")
+        least = self._congruence((alpha, beta))
+        return frozenset(pt for pt, m in enumerate(least) if m == least[alpha])
 
     def is_primitive(self) -> tuple[bool, BlockSystem | None]:
         """Primitivity test; on failure also returns a witness system.
@@ -330,34 +332,38 @@ class PermutationGroup:
         return False, self.block_system(best)
 
     def block_system(self, block) -> BlockSystem:
-        """The G-invariant partition generated by one block."""
+        """The G-invariant partition generated by one block.
+
+        Raises ValueError when the set is not a block, or when its images do
+        not cover every point.
+        """
         block = frozenset(block)
-        class_of = [-1] * self.degree
-        seen = {block}
-        frontier = [block]
-        idx = 0
-        for pt in sorted(block):
-            class_of[pt] = 0
-        while frontier:
-            nxt = []
-            for blk in frontier:
-                for g in self.generators:
-                    img = frozenset(g(pt) for pt in blk)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-                        idx += 1
-                        for pt in img:
-                            if class_of[pt] != -1:
-                                raise ValueError("set is not a block")
-                            class_of[pt] = idx
-            frontier = nxt
-        if -1 in class_of:
+        least = self._congruence(block)
+        sizes = Counter(least)
+        if block and sizes[least[min(block)]] > len(block):
+            raise ValueError("set is not a block")
+        if any(size != len(block) for size in sizes.values()):
             raise ValueError("block orbit does not cover all points")
-        # renumber classes by smallest member for a canonical labeling
-        reps = sorted(set(class_of), key=lambda c: class_of.index(c))
-        renum = {c: i for i, c in enumerate(reps)}
-        return BlockSystem(self.degree, tuple(renum[c] for c in class_of))
+        number = {m: i for i, m in enumerate(sorted(sizes))}
+        return BlockSystem(self.degree, tuple(number[m] for m in least))
+
+
+def orbit_of(seed, generators, act) -> set:
+    """The orbit of seed under the group the generators generate, where
+    act(g, x) is the image of x under g.
+
+    A FIFO closure; the returned set has its members inserted in
+    breadth-first order.
+    """
+    seen = {seed}
+    queue = [seed]
+    for x in queue:
+        for g in generators:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def parse_generators(text: str, degree: int) -> PermutationGroup:

@@ -45,20 +45,7 @@ def brute_verify_symmetric(v, blocks):
 
 def brute_group_order(generators, degree) -> int:
     """Order by breadth-first closure over image tuples."""
-    identity = tuple(range(degree))
-    gens = [tuple(g) for g in generators]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[i] for i in p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
+    return len(brute_elements(generators, degree))
 
 
 def brute_elements(generators, degree):

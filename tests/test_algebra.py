@@ -3,8 +3,6 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import sieve_primes
 from symdesign.algebra import (
@@ -100,7 +98,7 @@ def test_divisors_streams():
     assert list(divisors(factorize(24), 3, 5)) == [3, 4]
     f = factorize(645120)
     ds = list(divisors(f, 1, 645120))
-    assert len(ds) == 144 == f.divisor_count()
+    assert len(ds) == 144
     assert ds == sorted(set(ds))
     assert all(645120 % d == 0 for d in ds)
 
@@ -140,13 +138,6 @@ def test_divisors_match_brute_filter():
                 continue
             got = list(divisors(f, lo, hi))
             assert got == [d for d in every if lo <= d <= top], (factors, lo, hi)
-
-
-@settings(max_examples=60)
-@given(st.integers(min_value=2, max_value=5000))
-def test_divisor_count_matches_enumeration(n):
-    f = factorize(n)
-    assert f.divisor_count() == sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
 def test_prime_power_recognition():
@@ -196,19 +187,27 @@ def test_gf9_inverses_exhaustive():
         assert F.mul(x, F.inv(x)) == 1
 
 
+def field_power(F, x, e):
+    """x**e in F by e - 1 multiplications."""
+    out = x
+    for _ in range(e - 1):
+        out = F.mul(out, x)
+    return out
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81])
 def test_frobenius_is_additive(q):
     F = FieldTable(PrimePower.of(q))
     p = F.p
+    frob = [field_power(F, x, p) for x in F.elements()]
     for x in F.elements():
         for y in F.elements():
-            assert F.pow(F.add(x, y), p) == F.add(F.pow(x, p), F.pow(y, p)) or (
-                F.add(x, y) == 0 and F.add(F.pow(x, p), F.pow(y, p)) == 0
-            )
+            assert frob[F.add(x, y)] == F.add(frob[x], frob[y])
 
 
 def test_multiplicative_group_cyclic():
     for q in (4, 8, 9, 16):
         F = FieldTable(PrimePower.of(q))
-        powers = {F.pow(F.generator, e) for e in range(1, q)}
+        powers = {field_power(F, F.generator, e) for e in range(1, q)}
         assert powers == set(range(1, q))
+        assert F.exp == [field_power(F, F.generator, e) if e else 1 for e in range(q - 1)]

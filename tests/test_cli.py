@@ -49,6 +49,20 @@ def test_construct_diffset_unknown_ambient(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "what, message",
+    [
+        (["pg", "3", "12"], "12 is not a prime power"),
+        (["pg", "2", "2"], "projective_space needs n >= 3"),
+        (["pg", "x", "2"], "invalid literal for int() with base 10: 'x'"),
+        (["diffset", "cyclic11", "x", "2"], "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_construct_bad_input(capsys, what, message):
+    code, out, err = run(capsys, "construct", *what)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_construct_unknown_name(capsys):
     code, _, err = run(capsys, "construct", "nonexistent")
     assert code == 2
@@ -166,6 +180,17 @@ def test_verify_block_with_repeated_point(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {d_file}: line 2: bad block '1,1,2,4,7': repeated point 1\n"
+
+
+def test_verify_repeated_block(capsys, tmp_path):
+    d_file = tmp_path / "d.design"
+    run(capsys, "construct", "fano_complement", "-o", str(d_file))
+    lines = d_file.read_text().splitlines()
+    d_file.write_text("\n".join(lines + [lines[1]]) + "\n")
+    code, out, err = run(capsys, "verify", str(d_file))
+    assert (code, out, err) == (
+        1, "not a symmetric design [repeated_block]: block 1,2,4,7 is repeated\n", ""
+    )
 
 
 def test_flagtest_imprimitive(capsys, tmp_path):

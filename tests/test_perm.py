@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -158,6 +159,8 @@ def check_chain_against_brute(G):
     raw = [g.images for g in G.generators]
     elements = brute_elements(raw, degree)
     assert G.order() == len(elements)
+    for a in range(degree):
+        assert G.orbit(a) == {p[a] for p in elements}
     if degree <= 6:
         for images in permutations(range(degree)):
             assert G.contains(Permutation(images)) == (images in elements), images
@@ -243,6 +246,11 @@ def test_minimal_block_vs_brute_force():
         ("(1,2,3,4,5,6,7,8,9,10,11,12)", 12),
         ("(1,2,3)(4,5,6)(7,8,9)\n(1,4,7)(2,5,8)(3,6,9)", 9),
         ("(1,2)(3,4)\n(1,3)(2,4)", 4),
+        # intransitive groups
+        ("(1,2,3,4)", 6),
+        ("(1,2)(3,4)\n(5,6,7)", 7),
+        ("(1,2,3,4,5,6)(7,8)", 8),
+        ("", 3),
     ]
     for text, degree in cases:
         G = parse_generators(text, degree)
@@ -259,6 +267,8 @@ def test_is_primitive_sigma_witness():
     assert not primitive
     assert (system.class_size, system.num_classes) == (9, 5)
     classes = system.classes()
+    # classes are numbered in the order of their smallest points
+    assert [min(cls) for cls in classes] == [0, 1, 2, 3, 4]
     for g in G.generators:
         for cls in classes:
             assert frozenset(g(p) for p in cls) in classes
@@ -277,8 +287,30 @@ def test_is_primitive_psu42():
 
 def test_block_system_rejects_non_block():
     G = load_group("sigma45.grp")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="set is not a block"):
         G.block_system({0, 1})
+    # the class of {2, 3} is every point, so its least point is 0, not 2
+    with pytest.raises(ValueError, match="set is not a block"):
+        parse_generators("(1,2,3,4,5,6)", 6).block_system({2, 3})
+
+
+def test_block_system_rejects_large_non_block_fast():
+    # S_30 moves {0..9} onto C(30, 10) distinct sets; the union-find never
+    # builds them
+    G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="set is not a block"):
+        G.block_system(range(10))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_block_system_rejects_intransitive_group():
+    # {0, 2} is a block of <(1,2,3,4)> on 6 points, but points 4 and 5 lie
+    # in no image of it
+    G = parse_generators("(1,2,3,4)", 6)
+    with pytest.raises(ValueError, match="block orbit does not cover all points"):
+        G.block_system({0, 2})
+    assert G.block_system({0, 1, 2, 3, 4, 5}).num_classes == 1
 
 
 def test_group_file_round_trip(tmp_path):
