@@ -281,21 +281,25 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
+def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    """Remainder of a by the monic polynomial mod; a is overwritten."""
+    deg = len(mod) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for j in range(deg):
+                a[i - deg + j] = (a[i - deg + j] - c * mod[j]) % p
+    return _poly_trim(a[:deg])
+
+
 def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by monic mod
-    deg = len(mod) - 1
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j, mj in enumerate(mod[:-1]):
-                out[i - deg + j] = (out[i - deg + j] - c * mj) % p
-    return _poly_trim(out[:deg])
+    return _poly_rem(out, mod, p)
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -306,16 +310,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     # divide by every monic polynomial of degree 1..a//2
     for d in range(1, a // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            div = list(tail) + [1]
-            # polynomial remainder of poly by div
-            rem = list(poly)
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i]
-                if c:
-                    rem[i] = 0
-                    for j in range(d):
-                        rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-            if not _poly_trim(rem):
+            if not _poly_rem(list(poly), list(tail) + [1], p):
                 return False
     return True
 

@@ -14,12 +14,19 @@ from . import algebra, constructions, design, elimination, perm
 from .design import read_design_file
 
 
+def _int_arg(form: str, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit2(f"construct {form}: {name} must be an integer, got {text!r}") from None
+
+
 def _cmd_construct(args) -> int:
     if args.what[0] == "pg":
         if len(args.what) != 3:
             raise SystemExit2("construct pg needs: pg N Q")
+        n, q = _int_arg("pg", "N", args.what[1]), _int_arg("pg", "Q", args.what[2])
         try:
-            n, q = int(args.what[1]), int(args.what[2])
             D = constructions.projective_space(n, q)
         except ValueError as exc:
             raise SystemExit2(str(exc))
@@ -34,9 +41,11 @@ def _cmd_construct(args) -> int:
                 f"unknown ambient group {ambient_name!r}; choose from"
                 f" {sorted(constructions._AMBIENTS)}"
             )
+        k = _int_arg("diffset", "K", args.what[2])
+        lam = _int_arg("diffset", "LAMBDA", args.what[3])
         try:
             spec = constructions.find_difference_set(
-                constructions._AMBIENTS[ambient_name](), int(args.what[2]), int(args.what[3])
+                constructions._AMBIENTS[ambient_name](), k, lam
             )
         except ValueError as exc:
             raise SystemExit2(str(exc))

@@ -36,7 +36,7 @@ def pg_points(n: int, F: FieldTable) -> list[tuple[int, ...]]:
     return pts
 
 
-def projective_space(n: int, q) -> IncidenceStructure:
+def projective_space(n: int, q: int) -> IncidenceStructure:
     """Points vs hyperplanes of projective (n-1)-space over GF(q).
 
     Parameters come out as ((q^n-1)/(q-1), (q^{n-1}-1)/(q-1),
@@ -44,11 +44,8 @@ def projective_space(n: int, q) -> IncidenceStructure:
     """
     if n < 3:
         raise ValueError("projective_space needs n >= 3")
-    if isinstance(q, int):
-        q = PrimePower.of(q)
-    F = FieldTable(q)
+    F = FieldTable(PrimePower.of(q))
     pts = pg_points(n, F)
-    index = {v: i for i, v in enumerate(pts)}
 
     def dot(a, b):
         s = 0
@@ -58,7 +55,7 @@ def projective_space(n: int, q) -> IncidenceStructure:
 
     blocks = []
     for a in pts:  # hyperplanes are indexed by normalized coefficient vectors
-        blocks.append([index[x] for x in pts if dot(a, x) == 0])
+        blocks.append([i for i, x in enumerate(pts) if dot(a, x) == 0])
     return IncidenceStructure(len(pts), blocks)
 
 
@@ -77,24 +74,37 @@ class AmbientGroup:
     """A small group given by an element list and a multiplication rule.
 
     Elements are hashable labels; elements[0] is the identity.  The element
-    order is fixed so developments get reproducible point labels.
+    order is fixed so developments get reproducible point labels.  Inverses
+    and quotients x*y^-1 are tabulated once, by element position.
     """
 
-    def __init__(self, name, elements, op, inv):
+    def __init__(self, name, elements, op):
         self.name = name
         self.elements = list(elements)
         self.op = op
-        self.inv = inv
         self.index = {e: i for i, e in enumerate(self.elements)}
+        product = [[self.index[op(x, y)] for y in self.elements] for x in self.elements]
+        self._inverse = [row.index(0) for row in product]
+        self._quotient = [[row[j] for j in self._inverse] for row in product]
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def inv(self, x):
+        return self.elements[self._inverse[self.index[x]]]
+
+    def _difference_counts(self, positions) -> list[int]:
+        """Counts of x*y^-1, x = y included, over positions, by position."""
+        counts = [0] * len(self.elements)
+        for x in positions:
+            row = self._quotient[x]
+            for y in positions:
+                counts[row[y]] += 1
+        return counts
+
 
 def cyclic(n: int) -> AmbientGroup:
-    return AmbientGroup(
-        f"Z{n}", range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n
-    )
+    return AmbientGroup(f"Z{n}", range(n), lambda a, b: (a + b) % n)
 
 
 def elementary_abelian(p: int, a: int) -> AmbientGroup:
@@ -103,7 +113,6 @@ def elementary_abelian(p: int, a: int) -> AmbientGroup:
         f"Z{p}^{a}",
         elems,
         lambda x, y: tuple((u + w) % p for u, w in zip(x, y)),
-        lambda x: tuple((-u) % p for u in x),
     )
 
 
@@ -113,7 +122,6 @@ def cyclic_product(*orders: int) -> AmbientGroup:
         "x".join(f"Z{n}" for n in orders),
         elems,
         lambda x, y: tuple((u + w) % n for u, w, n in zip(x, y, orders)),
-        lambda x: tuple((-u) % n for u, n in zip(x, orders)),
     )
 
 
@@ -136,11 +144,7 @@ def quaternion8_x_z2() -> AmbientGroup:
         unit, sign = _Q8_MUL[(x[0], y[0])]
         return (unit, sign * x[1] * y[1], (x[2] + y[2]) % 2)
 
-    def inv(x):
-        # search is fine at order 16
-        return next(y for y in elems if op(x, y) == ("1", 1, 0))
-
-    return AmbientGroup("Q8xZ2", elems, op, inv)
+    return AmbientGroup("Q8xZ2", elems, op)
 
 
 _AMBIENTS = {
@@ -165,17 +169,12 @@ class DifferenceSetSpec:
         if (k * (k - 1)) % (n - 1) != 0:
             raise ValueError("k(k-1) not divisible by |G|-1")
         lam = k * (k - 1) // (n - 1)
-        counts: dict = {}
-        for d1 in self.base_set:
-            for d2 in self.base_set:
-                if d1 != d2:
-                    diff = self.ambient.op(d1, self.ambient.inv(d2))
-                    counts[diff] = counts.get(diff, 0) + 1
-        for e in self.ambient.elements[1:]:
-            if counts.get(e, 0) != lam:
+        amb = self.ambient
+        counts = amb._difference_counts([amb.index[d] for d in self.base_set])
+        for e, count in zip(amb.elements[1:], counts[1:]):
+            if count != lam:
                 raise ValueError(
-                    f"element {e} occurs {counts.get(e, 0)} times as a"
-                    f" difference, expected {lam}"
+                    f"element {e} occurs {count} times as a difference, expected {lam}"
                 )
         return lam
 
@@ -196,20 +195,18 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     Exhaustive over k-subsets; intended for |ambient| <= 64.  Returns None
     when no difference set exists.
     """
-    if len(ambient) > 64:
-        raise ValueError("ambient group too large for exhaustive search")
     n = len(ambient)
+    if n > 64:
+        raise ValueError("ambient group too large for exhaustive search")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}")
     if k * (k - 1) != lam * (n - 1):
         return None
-    identity = ambient.elements[0]
+    want = [k] + [lam] * (n - 1)
     for rest in combinations(range(1, n), k - 1):
-        cand = (identity,) + tuple(ambient.elements[i] for i in rest)
-        spec = DifferenceSetSpec(ambient, cand)
-        try:
-            spec.lam()
-        except ValueError:
-            continue
-        return spec
+        cand = (0,) + rest
+        if ambient._difference_counts(cand) == want:
+            return DifferenceSetSpec(ambient, tuple(ambient.elements[i] for i in cand))
     return None
 
 

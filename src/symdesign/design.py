@@ -43,16 +43,18 @@ class IncidenceStructure:
         if v < 1:
             raise ValueError("v must be positive")
         norm = []
+        position: dict[frozenset[int], int] = {}  # block -> its first position
         for blk in blocks:
             fb = frozenset(blk)
             if not fb:
                 raise ValueError("empty block")
             if any(not 0 <= pt < v for pt in fb):
                 raise ValueError("block point out of range")
+            position.setdefault(fb, len(norm))
             norm.append(fb)
         self.v = v
         self.blocks = norm
-        self.block_set = set(norm)
+        self._position = position
 
     def blocks_sorted(self) -> list[tuple[int, ...]]:
         """Blocks as sorted tuples, ordered lexicographically."""
@@ -68,8 +70,8 @@ class IncidenceStructure:
         Ryser's theorem any two blocks meet in exactly lambda points.
         """
         v = self.v
-        if len(self.block_set) != len(self.blocks):
-            repeat = next(b for i, b in enumerate(self.blocks) if b in self.blocks[:i])
+        if len(self._position) != len(self.blocks):
+            repeat = next(b for i, b in enumerate(self.blocks) if self._position[b] != i)
             raise DesignError(
                 "repeated_block",
                 f"block {','.join(str(pt + 1) for pt in sorted(repeat))} is repeated",
@@ -84,17 +86,17 @@ class IncidenceStructure:
         k = sizes.pop()
         if v == 1:
             return DesignParams(1, k, 0)
-        pair_counts: dict[tuple[int, int], int] = {}
-        for blk in self.blocks:
-            for pair in combinations(sorted(blk), 2):
-                pair_counts[pair] = pair_counts.get(pair, 0) + 1
+        rows = [0] * v  # bit j of rows[x] is set when block j holds x
+        for j, blk in enumerate(self.blocks):
+            for pt in blk:
+                rows[pt] |= 1 << j
         lam = k * (k - 1) // (v - 1) if k * (k - 1) % (v - 1) == 0 else None
-        for pair in combinations(range(v), 2):
-            count = pair_counts.get(pair, 0)
+        for x, y in combinations(range(v), 2):
+            count = (rows[x] & rows[y]).bit_count()
             if count != lam:
                 raise DesignError(
                     "pair_count",
-                    f"point pair {pair[0] + 1},{pair[1] + 1} lies on {count} blocks"
+                    f"point pair {x + 1},{y + 1} lies on {count} blocks"
                     + (f", expected {lam}" if lam is not None else ""),
                 )
         return DesignParams(v, k, lam)
@@ -108,7 +110,7 @@ class IncidenceStructure:
     def is_automorphism(self, g: Permutation) -> bool:
         if g.degree != self.v:
             raise ValueError("degree mismatch")
-        return all(g.image(blk) in self.block_set for blk in self.blocks)
+        return all(g.image(blk) in self._position for blk in self.blocks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,23 +123,23 @@ class IncidenceStructure:
 def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
     """True iff G acts transitively on the flags of D.
 
-    Computed as the orbit of one flag directly; every generator must be an
-    automorphism of D.
+    Computed as the orbit of one (point, block position) flag; every
+    generator must be an automorphism of D.  Images of blocks are taken at
+    their first position, so a repeated block leaves flags outside the orbit.
     """
     if G.degree != D.v:
         raise ValueError("degree mismatch")
+    moves = []
     for g in G.generators:
-        if not D.is_automorphism(g):
-            raise ValueError(f"generator {g.cycle_string()} is not an automorphism")
+        try:
+            moves.append((g.images, [D._position[g.image(b)] for b in D.blocks]))
+        except KeyError:
+            raise ValueError(f"generator {g.cycle_string()} is not an automorphism") from None
     if not D.blocks:
         raise ValueError("no blocks")
     flag_total = sum(len(b) for b in D.blocks)
-    start_block = D.blocks[0]
-    flags = orbit_of(
-        (min(start_block), start_block),
-        G.generators,
-        lambda g, flag: (g.images[flag[0]], g.image(flag[1])),
-    )
+    start = (min(D.blocks[0]), 0)
+    flags = orbit_of(start, moves, lambda move, flag: (move[0][flag[0]], move[1][flag[1]]))
     return len(flags) == flag_total
 
 

@@ -63,12 +63,7 @@ def simple_order(spec: GroupFamilySpec) -> int:
             o *= q**j - (-1) ** j
         return o // math.gcd(n, q + 1)
     m = n // 2
-    if spec.family == "PSp":
-        o = q ** (m * m)
-        for j in range(1, m + 1):
-            o *= q ** (2 * j) - 1
-        return o // math.gcd(2, q - 1)
-    if spec.family == "OmegaOdd":
+    if spec.family in ("PSp", "OmegaOdd"):  # PSp_2m(q) and Omega_2m+1(q) share an order
         o = q ** (m * m)
         for j in range(1, m + 1):
             o *= q ** (2 * j) - 1

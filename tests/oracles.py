@@ -3,8 +3,8 @@
 These deliberately avoid the library's own algorithms: primality by sieve,
 design verification by direct pair counting, group order by closure
 enumeration, minimal blocks by subset search, admissibility by a full range
-scan, and flag-transitivity in two steps (point orbit, then blocks through
-a point).
+scan, flag-transitivity in two steps (point orbit, then blocks through
+a point), and difference sets by subset search on element labels.
 """
 
 from __future__ import annotations
@@ -41,6 +41,21 @@ def brute_verify_symmetric(v, blocks):
         if len(b1 & b2) != lam:
             return None
     return (v, k, lam)
+
+
+def brute_difference_set(ambient, k, lam):
+    """First k-subset of ambient.elements, in element order, that holds the
+    identity and has every non-identity element as x*y^-1 exactly lam times;
+    None when there is none.  Uses only ambient.elements and ambient.op."""
+    elements = ambient.elements
+    e = elements[0]
+    inverse = {x: next(y for y in elements if ambient.op(x, y) == e) for x in elements}
+    for rest in combinations(elements[1:], k - 1):
+        cand = (e,) + rest
+        diffs = [ambient.op(x, inverse[y]) for x in cand for y in cand if x != y]
+        if all(diffs.count(g) == lam for g in elements[1:]):
+            return cand
+    return None
 
 
 def brute_group_order(generators, degree) -> int:

@@ -181,6 +181,24 @@ def test_gf4_product_of_generators():
     assert F.mul(2, 3) == 1
 
 
+@pytest.mark.parametrize(
+    "q,modulus",
+    [
+        (4, (1, 1, 1)),
+        (8, (1, 0, 1, 1)),
+        (9, (1, 0, 1)),
+        (16, (1, 0, 0, 1, 1)),
+        (25, (1, 1, 1)),
+        (27, (1, 0, 2, 1)),
+        (49, (1, 0, 1)),
+        (81, (1, 0, 1, 1, 1)),
+    ],
+)
+def test_field_modulus_is_smallest_irreducible(q, modulus):
+    # pinned: the modulus fixes every field table, hence every written file
+    assert FieldTable(PrimePower.of(q)).modulus == modulus
+
+
 def test_gf9_inverses_exhaustive():
     F = FieldTable(PrimePower(3, 2))
     for x in range(1, 9):

@@ -54,8 +54,13 @@ def test_construct_diffset_unknown_ambient(capsys):
     [
         (["pg", "3", "12"], "12 is not a prime power"),
         (["pg", "2", "2"], "projective_space needs n >= 3"),
-        (["pg", "x", "2"], "invalid literal for int() with base 10: 'x'"),
-        (["diffset", "cyclic11", "x", "2"], "invalid literal for int() with base 10: 'x'"),
+        (["pg", "x", "2"], "construct pg: N must be an integer, got 'x'"),
+        (["diffset", "cyclic11", "x", "2"], "construct diffset: K must be an integer, got 'x'"),
+        (["pg", "3", "2.0"], "construct pg: Q must be an integer, got '2.0'"),
+        (["diffset", "cyclic11", "5", "y"], "construct diffset: LAMBDA must be an integer, got 'y'"),
+        (["diffset", "cyclic11", "0", "0"], "k must be in 1..11"),
+        (["diffset", "cyclic11", "-1", "0"], "k must be in 1..11"),
+        (["diffset", "cyclic11", "12", "11"], "k must be in 1..11"),
     ],
 )
 def test_construct_bad_input(capsys, what, message):

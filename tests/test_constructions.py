@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_verify_symmetric
+from oracles import brute_difference_set, brute_verify_symmetric
 from symdesign.algebra import is_prime
 from symdesign.constructions import (
     _AMBIENTS,
@@ -113,6 +113,21 @@ def test_order16_biplanes(ambient_name):
     assert brute_verify_symmetric(16, D.blocks) == (16, 6, 2)
 
 
+def _feasible(n):
+    return [(k, k * (k - 1) // (n - 1)) for k in range(1, n + 1) if k * (k - 1) % (n - 1) == 0]
+
+
+@pytest.mark.parametrize(
+    "ambient,k,lam",
+    [(cyclic(n), k, lam) for n in range(2, 17) for k, lam in _feasible(n)]
+    + [(_AMBIENTS[name](), 6, 2) for name in ("ea16", "z2z8", "q8z2")],
+    ids=lambda x: getattr(x, "name", None),
+)
+def test_find_difference_set_matches_brute(ambient, k, lam):
+    spec = find_difference_set(ambient, k, lam)
+    assert (spec and spec.base_set) == brute_difference_set(ambient, k, lam)
+
+
 def test_find_difference_set_infeasible_parameters():
     assert find_difference_set(cyclic(11), 4, 2) is None
 
@@ -122,15 +137,20 @@ def test_find_difference_set_size_guard():
         find_difference_set(cyclic(100), 10, 1)
 
 
+@pytest.mark.parametrize("name", sorted(_AMBIENTS))
+def test_ambient_group_table(name):
+    G = _AMBIENTS[name]()
+    e = G.elements[0]
+    for x in G.elements:
+        assert G.op(x, e) == x == G.op(e, x)
+        assert G.op(x, G.inv(x)) == e
+        for y in G.elements:
+            assert G.op(x, y) in G.index
+
+
 def test_quaternion_group_table():
     Q = quaternion8_x_z2()
-    e = Q.elements[0]
-    assert e == ("1", 1, 0)
-    for x in Q.elements:
-        assert Q.op(x, e) == x == Q.op(e, x)
-        assert Q.op(x, Q.inv(x)) == e
-        for y in Q.elements:
-            assert Q.op(x, y) in Q.index
+    assert Q.elements[0] == ("1", 1, 0)
     i = ("i", 1, 0)
     j = ("j", 1, 0)
     assert Q.op(i, j) != Q.op(j, i)  # nonabelian

@@ -88,6 +88,12 @@ def test_dedup():
         D.verify_symmetric()
     assert exc.value.code == "repeated_block"
     assert str(exc.value) == "block 1,2 is repeated"
+    # two different blocks repeated: the first repeat by position is named,
+    # not the repeated block that occurs first
+    D = IncidenceStructure(3, [(0, 1), (1, 2), (1, 2), (0, 1)])
+    with pytest.raises(DesignError) as exc:
+        D.verify_symmetric()
+    assert str(exc.value) == "block 2,3 is repeated"
 
 
 def test_complement_involution_and_params():
@@ -149,6 +155,16 @@ def test_flag_transitive_rejects_non_automorphism():
     G = parse_generators("(1,2)", 7)
     with pytest.raises(ValueError):
         is_flag_transitive(G, D)
+    G = parse_generators("(1,2,3)(4,6,5)\n(1,2)(3,4)\n(1,2)", 7)
+    with pytest.raises(ValueError, match=r"^generator \(1,2\)\(3,4\) is not an automorphism$"):
+        is_flag_transitive(G, D)
+
+
+def test_flag_transitive_false_with_repeated_block():
+    inst = catalog("fano_complement")
+    D = IncidenceStructure(7, inst.design.blocks + inst.design.blocks[2:3])
+    assert not is_flag_transitive(inst.group, D)
+    assert not flag_transitive_two_step(inst.group, D)
 
 
 def test_flag_orbit_size_equals_vk():
