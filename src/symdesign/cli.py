@@ -63,7 +63,9 @@ def _cmd_construct(args) -> int:
         except KeyError as exc:
             raise SystemExit2(str(exc))
         D, group, label = inst.design, inst.group, inst.name
-    params = D.verify_symmetric()
+    params = _verified(D)
+    if params is None:
+        return 1
     print(f"{label}: ({params.v},{params.k},{params.lam})")
     if args.output:
         design.write_design_file(args.output, D)
@@ -77,15 +79,22 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _verified(D: design.IncidenceStructure):
+    """D's parameters, or None after printing the first violation."""
+    try:
+        return D.verify_symmetric()
+    except design.DesignError as exc:
+        print(f"not a symmetric design [{exc.code}]: {exc}")
+        return None
+
+
 def _cmd_verify(args) -> int:
     try:
         D = read_design_file(args.design)
     except (OSError, ValueError) as exc:
         raise SystemExit2(str(exc))
-    try:
-        params = D.verify_symmetric()
-    except design.DesignError as exc:
-        print(f"not a symmetric design [{exc.code}]: {exc}")
+    params = _verified(D)
+    if params is None:
         return 1
     trivial = "" if params.nontrivial else " (trivial)"
     lam_note = " (lambda prime)" if algebra.is_prime(params.lam) else ""

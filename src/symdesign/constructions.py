@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, product
+from itertools import product
 
 from .algebra import FieldTable, PrimePower
 from .design import IncidenceStructure, orbit_design
@@ -40,22 +40,38 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
     """Points vs hyperplanes of projective (n-1)-space over GF(q).
 
     Parameters come out as ((q^n-1)/(q-1), (q^{n-1}-1)/(q-1),
-    (q^{n-2}-1)/(q-1)).
+    (q^{n-2}-1)/(q-1)).  Hyperplane a-perp is listed for each normalized a,
+    in point order.  With j the first nonzero coordinate of a (so a_j = 1),
+    each normalized point y of PG(n-2, q) gives the free coordinates of one
+    point x of a-perp, with x_j = -sum_{i != j} a_i y_i, rescaled when its
+    first nonzero coordinate is not 1.  GF(q) is tabulated once, in O(q^2),
+    so the whole build is O(v*k*n) table lookups.
     """
     if n < 3:
         raise ValueError("projective_space needs n >= 3")
     F = FieldTable(PrimePower.of(q))
+    add = [[F.add(x, y) for y in F.elements()] for x in F.elements()]
+    mul = [[F.mul(x, y) for y in F.elements()] for x in F.elements()]
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
     pts = pg_points(n, F)
-
-    def dot(a, b):
-        s = 0
-        for x, y in zip(a, b):
-            s = F.add(s, F.mul(x, y))
-        return s
-
+    index = {x: i for i, x in enumerate(pts)}
+    free = [(y, y.index(1)) for y in pg_points(n - 1, F)]
     blocks = []
-    for a in pts:  # hyperplanes are indexed by normalized coefficient vectors
-        blocks.append([i for i, x in enumerate(pts) if dot(a, x) == 0])
+    for a in pts:
+        j = a.index(1)
+        coeffs = [(i, mul[c]) for i, c in enumerate(a[j + 1:], j) if c]
+        blk = []
+        for y, lead in free:
+            s = 0
+            for i, row in coeffs:
+                s = add[s][row[y[i]]]
+            x = y[:j] + (neg[s],) + y[j:]
+            if lead >= j and s:  # x starts with x_j = -s: rescale it to 1
+                x = tuple(mul[inv[neg[s]]][c] for c in x)
+            blk.append(index[x])
+        blk.sort()
+        blocks.append(blk)
     return IncidenceStructure(len(pts), blocks)
 
 
@@ -192,8 +208,14 @@ def develop_difference_set(spec: DifferenceSetSpec) -> IncidenceStructure:
 def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     """Lexicographically first (k, lam) difference set containing identity.
 
-    Exhaustive over k-subsets; intended for |ambient| <= 64.  Returns None
-    when no difference set exists.
+    Depth-first over ascending element positions, starting at {identity}.
+    Each new element adds its quotients x*y^-1 with the chosen ones to the
+    counts; a partial set is dropped as soon as some count exceeds lam, or
+    when too few positions remain.  Subtrees are visited in
+    itertools.combinations order and pruning removes only subtrees that hold
+    no solution, so the first hit is that of the exhaustive search over
+    k-subsets.  Intended for |ambient| <= 64.  Returns None when no
+    difference set exists.
     """
     n = len(ambient)
     if n > 64:
@@ -202,12 +224,33 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
         raise ValueError(f"k must be in 1..{n}")
     if k * (k - 1) != lam * (n - 1):
         return None
-    want = [k] + [lam] * (n - 1)
-    for rest in combinations(range(1, n), k - 1):
-        cand = (0,) + rest
-        if ambient._difference_counts(cand) == want:
-            return DifferenceSetSpec(ambient, tuple(ambient.elements[i] for i in cand))
-    return None
+    quotient = ambient._quotient
+    counts = [0] * n
+    chosen = [0]
+
+    def extend(start: int) -> bool:
+        if len(chosen) == k:
+            return True
+        for z in range(start, n - k + len(chosen) + 1):
+            row = quotient[z]
+            added = []
+            for d in [row[y] for y in chosen] + [quotient[y][z] for y in chosen]:
+                counts[d] += 1
+                added.append(d)
+                if counts[d] > lam:
+                    break
+            else:
+                chosen.append(z)
+                if extend(z + 1):
+                    return True
+                chosen.pop()
+            for d in added:
+                counts[d] -= 1
+        return False
+
+    if not extend(1):
+        return None
+    return DifferenceSetSpec(ambient, tuple(ambient.elements[i] for i in chosen))
 
 
 # --- vendored catalog -------------------------------------------------------

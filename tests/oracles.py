@@ -4,12 +4,16 @@ These deliberately avoid the library's own algorithms: primality by sieve,
 design verification by direct pair counting, group order by closure
 enumeration, minimal blocks by subset search, admissibility by a full range
 scan, flag-transitivity in two steps (point orbit, then blocks through
-a point), and difference sets by subset search on element labels.
+a point), difference sets by subset search on element labels, and
+projective spaces by a dot product per point pair.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from symdesign.algebra import FieldTable, PrimePower
+from symdesign.constructions import pg_points
 
 
 def sieve_primes(limit: int) -> list[bool]:
@@ -56,6 +60,24 @@ def brute_difference_set(ambient, k, lam):
         if all(diffs.count(g) == lam for g in elements[1:]):
             return cand
     return None
+
+
+def brute_projective_space(n, q):
+    """Blocks of the point-hyperplane design of PG(n-1, q), by dot product.
+
+    Each normalized point a gives the block of every normalized point x with
+    a.x = 0, the points listed in order, computed with FieldTable.add and
+    FieldTable.mul one coordinate at a time: O(v^2 n) field calls."""
+    F = FieldTable(PrimePower.of(q))
+    pts = pg_points(n, F)
+
+    def dot(a, b):
+        s = 0
+        for x, y in zip(a, b):
+            s = F.add(s, F.mul(x, y))
+        return s
+
+    return [frozenset(i for i, x in enumerate(pts) if dot(a, x) == 0) for a in pts]
 
 
 def brute_group_order(generators, degree) -> int:

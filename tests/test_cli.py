@@ -68,6 +68,19 @@ def test_construct_bad_input(capsys, what, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("ambient,n", [("cyclic7", "7"), ("cyclic11", "11")])
+def test_construct_trivial_diffset_reports_repeated_block(capsys, tmp_path, ambient, n):
+    # k = |G| develops |G| copies of the whole group: the same line and exit
+    # code as `verify` on that design, and no file written
+    out_file = tmp_path / "d.design"
+    code, out, err = run(capsys, "construct", "diffset", ambient, n, n, "-o", str(out_file))
+    block = ",".join(str(i) for i in range(1, int(n) + 1))
+    assert (code, out, err) == (
+        1, f"not a symmetric design [repeated_block]: block {block} is repeated\n", ""
+    )
+    assert not out_file.exists()
+
+
 def test_construct_unknown_name(capsys):
     code, _, err = run(capsys, "construct", "nonexistent")
     assert code == 2

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_difference_set, brute_verify_symmetric
-from symdesign.algebra import is_prime
+from oracles import brute_difference_set, brute_projective_space, brute_verify_symmetric
+from symdesign.algebra import FieldTable, is_prime
 from symdesign.constructions import (
     _AMBIENTS,
     CATALOG_NAMES,
@@ -69,6 +69,37 @@ def test_projective_space_gf4():
     assert D.verify_symmetric().v == 21
 
 
+@pytest.mark.parametrize(
+    "n,q",
+    [(3, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (6, 2), (7, 2)],
+)
+def test_projective_space_block_order_matches_brute(n, q):
+    # same blocks in the same order, so written files and flag starts agree
+    assert projective_space(n, q).blocks == brute_projective_space(n, q)
+
+
+def test_projective_space_pg8_2():
+    params = projective_space(8, 2).verify_symmetric()
+    assert (params.v, params.k, params.lam) == (255, 127, 63)
+
+
+@pytest.mark.parametrize("n,q", [(6, 2), (3, 9)])
+def test_projective_space_field_calls_are_per_element_pair(monkeypatch, n, q):
+    # GF(q) is tabulated once: O(q^2) field calls, none per point pair
+    calls = []
+    for name in ("add", "mul"):
+        method = getattr(FieldTable, name)
+
+        def counted(self, x, y, method=method):
+            calls.append(1)
+            return method(self, x, y)
+
+        monkeypatch.setattr(FieldTable, name, counted)
+    projective_space(n, q)
+    assert 0 < len(calls) <= 2 * q * q + 4 * q
+
+
 # --- difference sets ---------------------------------------------------------
 
 
@@ -126,6 +157,36 @@ def _feasible(n):
 def test_find_difference_set_matches_brute(ambient, k, lam):
     spec = find_difference_set(ambient, k, lam)
     assert (spec and spec.base_set) == brute_difference_set(ambient, k, lam)
+
+
+def _quotient_counts_by_op(ambient, base):
+    """Counts of x*y^-1 over x != y in base, with inverses found through op."""
+    e = ambient.elements[0]
+    inverse = {x: next(y for y in ambient.elements if ambient.op(x, y) == e) for x in base}
+    counts = {}
+    for x in base:
+        for y in base:
+            if x != y:
+                d = ambient.op(x, inverse[y])
+                counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "n,k,lam,expected",
+    [
+        (19, 9, 4, (0, 1, 2, 3, 5, 7, 12, 13, 16)),
+        (21, 5, 1, (0, 1, 4, 14, 16)),
+        (23, 11, 5, (0, 1, 2, 3, 5, 7, 8, 11, 12, 15, 17)),
+        (31, 6, 1, (0, 1, 3, 8, 12, 18)),
+    ],
+)
+def test_find_difference_set_larger_cyclic(n, k, lam, expected):
+    ambient = cyclic(n)
+    spec = find_difference_set(ambient, k, lam)
+    assert spec.base_set == expected
+    counts = _quotient_counts_by_op(ambient, expected)
+    assert counts == {g: lam for g in ambient.elements[1:]}
 
 
 def test_find_difference_set_infeasible_parameters():
