@@ -265,11 +265,29 @@ class PrimePower:
 
     @classmethod
     def of(cls, q: int) -> "PrimePower":
-        """Recognize q as p**a or raise."""
-        factors = factorize(q).factors if q >= 2 else ()
-        if len(factors) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(*factors[0])
+        """Recognize q as p**a or raise.
+
+        Nothing is factored: for each a up to the bit length of q, the
+        integer a-th root r of q is taken, and q == r**a with r prime gives
+        p = r.  Only the true exponent can give a prime root.
+        """
+        if q >= 2:
+            for a in range(1, q.bit_length() + 1):
+                r = _iroot(q, a)
+                if r**a == q and is_prime(r):
+                    return cls(r, a)
+        raise ValueError(f"{q} is not a prime power")
+
+
+def _iroot(n: int, a: int) -> int:
+    """The largest r with r**a <= n, for n >= 1, by integer Newton steps
+    down from a power of two above the root (floats overflow past 1e308)."""
+    r = 1 << -(-n.bit_length() // a)
+    while True:
+        s = ((a - 1) * r + n // r ** (a - 1)) // a
+        if s >= r:
+            return r
+        r = s
 
 
 # --- polynomial helpers over GF(p), coefficient lists low-degree first ---
@@ -316,20 +334,31 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 class FieldTable:
-    """GF(p^a) with log/antilog tables for a fixed multiplicative generator.
+    """GF(p^a) tabulated once, as lists indexed by element.
 
     Elements are ints in [0, q): the base-p digits of x are the coefficients
     of the polynomial residue, low degree first.  The reducing modulus is
     the lexicographically smallest monic irreducible of degree a over GF(p)
     (coefficients compared low-degree-first), so tables are reproducible.
+    ``add[x][y]`` is x + y, ``mul[x][y]`` is x * y, ``neg[x]`` is -x and
+    ``inv[x]`` is 1/x for x != 0 (``inv[0]`` is None).
     """
 
     def __init__(self, prime_power: PrimePower):
-        self.prime_power = prime_power
         p, a, q = prime_power.p, prime_power.a, prime_power.q
         self.p, self.a, self.q = p, a, q
         self.modulus = self._smallest_irreducible(p, a)
-        self._build_logs()
+        weights = [p**i for i in range(a)]
+        digits = [[x // w % p for w in weights] for x in range(q)]
+
+        def enc(v) -> int:
+            return sum(c * w for c, w in zip(v, weights))
+
+        mod = list(self.modulus)
+        self.add = [[enc((u + w) % p for u, w in zip(dx, dy)) for dy in digits] for dx in digits]
+        self.mul = [[enc(_poly_mulmod(dx, dy, mod, p)) for dy in digits] for dx in digits]
+        self.neg = [row.index(0) for row in self.add]
+        self.inv = [None] + [row.index(1) for row in self.mul[1:]]
 
     @staticmethod
     def _smallest_irreducible(p: int, a: int) -> tuple[int, ...]:
@@ -340,65 +369,3 @@ class FieldTable:
             if _is_irreducible(poly, p):
                 return poly
         raise AssertionError("no irreducible polynomial found")  # pragma: no cover
-
-    # element <-> coefficient vector
-    def _vec(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.a):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _enc(self, v: list[int]) -> int:
-        x = 0
-        for c in reversed(v):
-            x = x * self.p + c
-        return x
-
-    def add(self, x: int, y: int) -> int:
-        xv, yv = self._vec(x), self._vec(y)
-        return self._enc([(u + w) % self.p for u, w in zip(xv, yv)])
-
-    def _raw_mul(self, x: int, y: int) -> int:
-        prod = _poly_mulmod(self._vec(x), self._vec(y), list(self.modulus), self.p)
-        prod += [0] * (self.a - len(prod))
-        return self._enc(prod)
-
-    def _build_logs(self) -> None:
-        q = self.q
-        if q == 2:  # trivial multiplicative group
-            self.generator = 1
-            self.exp = [1]
-            self.log = [0, 0]
-            return
-        for g in range(2, q):
-            seen = set()
-            x = 1
-            for _ in range(q - 1):
-                x = self._raw_mul(x, g)
-                seen.add(x)
-            if len(seen) == q - 1:
-                self.generator = g
-                break
-        else:  # pragma: no cover - multiplicative group is always cyclic
-            raise AssertionError("no multiplicative generator")
-        self.exp = [0] * (q - 1)
-        self.log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            self.exp[i] = x
-            self.log[x] = i
-            x = self._raw_mul(x, self.generator)
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inversion of zero in GF(q)")
-        return self.exp[(-self.log[x]) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)

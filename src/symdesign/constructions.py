@@ -29,7 +29,7 @@ def pg_points(n: int, F: FieldTable) -> list[tuple[int, ...]]:
     1, listed in lexicographic order of the coordinate tuples.
     """
     pts = []
-    for vec in product(F.elements(), repeat=n):
+    for vec in product(range(F.q), repeat=n):
         lead = next((c for c in vec if c != 0), None)
         if lead == 1:
             pts.append(vec)
@@ -44,16 +44,13 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
     in point order.  With j the first nonzero coordinate of a (so a_j = 1),
     each normalized point y of PG(n-2, q) gives the free coordinates of one
     point x of a-perp, with x_j = -sum_{i != j} a_i y_i, rescaled when its
-    first nonzero coordinate is not 1.  GF(q) is tabulated once, in O(q^2),
-    so the whole build is O(v*k*n) table lookups.
+    first nonzero coordinate is not 1.  With GF(q) tabulated by FieldTable,
+    in O(q^2), the whole build is O(v*k*n) table lookups.
     """
     if n < 3:
         raise ValueError("projective_space needs n >= 3")
     F = FieldTable(PrimePower.of(q))
-    add = [[F.add(x, y) for y in F.elements()] for x in F.elements()]
-    mul = [[F.mul(x, y) for y in F.elements()] for x in F.elements()]
-    neg = [row.index(0) for row in add]
-    inv = [0] + [row.index(1) for row in mul[1:]]
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
     pts = pg_points(n, F)
     index = {x: i for i, x in enumerate(pts)}
     free = [(y, y.index(1)) for y in pg_points(n - 1, F)]
@@ -70,7 +67,6 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
             if lead >= j and s:  # x starts with x_j = -s: rescale it to 1
                 x = tuple(mul[inv[neg[s]]][c] for c in x)
             blk.append(index[x])
-        blk.sort()
         blocks.append(blk)
     return IncidenceStructure(len(pts), blocks)
 

@@ -41,37 +41,27 @@ class GroupFamilySpec:
         if f in ("POmegaPlus", "POmegaMinus") and (n < 8 or n % 2):
             raise ValueError("POmega needs even n >= 8")
 
-    def __str__(self) -> str:
-        sym = {
-            "PSL": "PSL", "PSU": "PSU", "PSp": "PSp",
-            "OmegaOdd": "Omega", "POmegaPlus": "POmega+", "POmegaMinus": "POmega-",
-        }[self.family]
-        return f"{sym}{self.n}({self.q.q})"
+
+def _prod(q: int, lo: int, hi: int, sign_alt: bool = False) -> int:
+    """Product of q^j - 1 over lo <= j <= hi, or of q^j - (-1)^j with sign_alt."""
+    out = 1
+    for j in range(lo, hi + 1):
+        out *= q**j - ((-1) ** j if sign_alt else 1)
+    return out
 
 
 def simple_order(spec: GroupFamilySpec) -> int:
     """Exact order of the simple group."""
     n, q = spec.n, spec.q.q
     if spec.family == "PSL":
-        o = q ** (n * (n - 1) // 2)
-        for j in range(2, n + 1):
-            o *= q**j - 1
-        return o // math.gcd(n, q - 1)
+        return q ** (n * (n - 1) // 2) * _prod(q, 2, n) // math.gcd(n, q - 1)
     if spec.family == "PSU":
-        o = q ** (n * (n - 1) // 2)
-        for j in range(2, n + 1):
-            o *= q**j - (-1) ** j
-        return o // math.gcd(n, q + 1)
+        return q ** (n * (n - 1) // 2) * _prod(q, 2, n, sign_alt=True) // math.gcd(n, q + 1)
     m = n // 2
     if spec.family in ("PSp", "OmegaOdd"):  # PSp_2m(q) and Omega_2m+1(q) share an order
-        o = q ** (m * m)
-        for j in range(1, m + 1):
-            o *= q ** (2 * j) - 1
-        return o // math.gcd(2, q - 1)
+        return q ** (m * m) * _prod(q * q, 1, m) // math.gcd(2, q - 1)
     sign = 1 if spec.family == "POmegaPlus" else -1
-    o = q ** (m * (m - 1)) * (q**m - sign)
-    for j in range(1, m):
-        o *= q ** (2 * j) - 1
+    o = q ** (m * (m - 1)) * (q**m - sign) * _prod(q * q, 1, m - 1)
     return o // math.gcd(4, q**m - sign)
 
 
@@ -142,13 +132,6 @@ def admissible(v, k_bound, required_lambda=None):
 
 
 # --- inequality lemmas, evaluated exactly -----------------------------------
-
-
-def _prod(q: int, lo: int, hi: int, sign_alt: bool = False) -> int:
-    out = 1
-    for j in range(lo, hi + 1):
-        out *= q**j - ((-1) ** j if sign_alt else 1)
-    return out
 
 
 def check_bounds(kind: str, **params) -> bool:
@@ -273,11 +256,11 @@ def _g_poly(n: int) -> dict:
 
 
 _H_R_TABLE = {
-    # t: (h as exponent->coeff with `n+c` exponents given via offset, r)
-    3: ({"n_off": 2, 5: 2, 4: -1, 3: -1, 2: -1}, {5: 3, 4: -2, 3: -2, 2: -1, 1: 1, 0: 1}),
-    4: ({"n_off": 3, 7: 1, 6: 1, 5: -1, 4: -1, 3: -1}, {7: 1, 6: 1, 4: -2, 3: -2, 1: 1, 0: 1}),
-    5: ({"n_off": 4, 9: 1, 7: 1, 6: -1, 5: -1, 4: -1}, {9: 1, 7: 1, 6: -1, 4: -2, 3: -1, 1: 1, 0: 1}),
-    6: ({"n_off": 5, 11: 1, 8: 1, 7: -1, 6: -1, 5: -1}, {11: 1, 8: 1, 7: -1, 6: -1, 4: -1, 3: -1, 1: 1, 0: 1}),
+    # t: (h less its top term q^(n+t-1), r), each as exponent -> coefficient
+    3: ({5: 2, 4: -1, 3: -1, 2: -1}, {5: 3, 4: -2, 3: -2, 2: -1, 1: 1, 0: 1}),
+    4: ({7: 1, 6: 1, 5: -1, 4: -1, 3: -1}, {7: 1, 6: 1, 4: -2, 3: -2, 1: 1, 0: 1}),
+    5: ({9: 1, 7: 1, 6: -1, 5: -1, 4: -1}, {9: 1, 7: 1, 6: -1, 4: -2, 3: -1, 1: 1, 0: 1}),
+    6: ({11: 1, 8: 1, 7: -1, 6: -1, 5: -1}, {11: 1, 8: 1, 7: -1, 6: -1, 4: -1, 3: -1, 1: 1, 0: 1}),
 }
 
 
@@ -288,9 +271,8 @@ def check_division_identity(n: int, t: int) -> bool:
     j = n - t
     if n < 7 or j < 2:
         raise ValueError("need n >= 7 and j = n - t >= 2")
-    h_spec, r = _H_R_TABLE[t]
-    h = {n + h_spec["n_off"]: 1}
-    h.update({e: c for e, c in h_spec.items() if e != "n_off"})
+    h_low, r = _H_R_TABLE[t]
+    h = {n + t - 1: 1, **h_low}
     rhs = _poly_add(_poly_mul(h, {j: 1, 0: -1}), r)
     return rhs == _g_poly(n)
 

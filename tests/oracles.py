@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: primality by sieve,
 design verification by direct pair counting, group order by closure
 enumeration, minimal blocks by subset search, admissibility by a full range
 scan, flag-transitivity in two steps (point orbit, then blocks through
-a point), difference sets by subset search on element labels, and
-projective spaces by a dot product per point pair.
+a point), difference sets by subset search on element labels, GF(p^a)
+tables by schoolbook products of digit tuples, and projective spaces by a
+dot product per point pair.
 """
 
 from __future__ import annotations
@@ -62,19 +63,53 @@ def brute_difference_set(ambient, k, lam):
     return None
 
 
+def brute_gf(p, modulus):
+    """(add, mul, neg, inv) tables of GF(p)[t]/(modulus), built from scratch.
+
+    Element x is the polynomial whose coefficient of t^i is the i-th base-p
+    digit of x.  A product is the schoolbook convolution of digit tuples,
+    each t^k in it replaced by t^k reduced modulo the monic modulus, those
+    reductions found by multiplying by t one step at a time.  Negatives and
+    inverses are found by search; inv[0] is None."""
+    a = len(modulus) - 1
+    q = p**a
+    digits = [tuple(x // p**i % p for i in range(a)) for x in range(q)]
+    number = {d: x for x, d in enumerate(digits)}
+    powers = [tuple(int(i == k) for i in range(a)) for k in range(a)]
+    while len(powers) < 2 * a - 1:  # t^k = t * t^(k-1), t^a = -(m_0 + ... + m_(a-1) t^(a-1))
+        prev = powers[-1]
+        powers.append(tuple((s - prev[-1] * m) % p for s, m in zip((0,) + prev[:-1], modulus)))
+
+    def times(x, y):
+        out = [0] * a
+        for i, u in enumerate(digits[x]):
+            for j, w in enumerate(digits[y]):
+                for k, c in enumerate(powers[i + j]):
+                    out[k] = (out[k] + u * w * c) % p
+        return number[tuple(out)]
+
+    add = [[number[tuple((u + w) % p for u, w in zip(digits[x], digits[y]))] for y in range(q)]
+           for x in range(q)]
+    mul = [[times(x, y) for y in range(q)] for x in range(q)]
+    neg = [next(y for y in range(q) if add[x][y] == 0) for x in range(q)]
+    inv = [None] + [next(y for y in range(q) if mul[x][y] == 1) for x in range(1, q)]
+    return add, mul, neg, inv
+
+
 def brute_projective_space(n, q):
     """Blocks of the point-hyperplane design of PG(n-1, q), by dot product.
 
     Each normalized point a gives the block of every normalized point x with
-    a.x = 0, the points listed in order, computed with FieldTable.add and
-    FieldTable.mul one coordinate at a time: O(v^2 n) field calls."""
+    a.x = 0, the points listed in order, the dot product summed one
+    coordinate at a time in the FieldTable add and mul tables: O(v^2 n)
+    lookups."""
     F = FieldTable(PrimePower.of(q))
     pts = pg_points(n, F)
 
     def dot(a, b):
         s = 0
         for x, y in zip(a, b):
-            s = F.add(s, F.mul(x, y))
+            s = F.add[s][F.mul[x][y]]
         return s
 
     return [frozenset(i for i, x in enumerate(pts) if dot(a, x) == 0) for a in pts]

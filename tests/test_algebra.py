@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import sieve_primes
+from oracles import brute_gf, sieve_primes
 from symdesign.algebra import (
     FieldTable,
     Factorization,
@@ -148,6 +148,14 @@ def test_prime_power_recognition():
     assert PrimePower.of(1000003**2) == PrimePower(1000003, 2)
     with pytest.raises(ValueError, match="is not a prime power"):
         PrimePower.of(10007 * 1000003)
+    # recognized without factoring: a product of two large primes, and a
+    # cube of a 521-bit prime, are answered at once
+    with pytest.raises(ValueError, match="is not a prime power"):
+        PrimePower.of((2**61 - 1) * (2**89 - 1))
+    assert PrimePower.of((2**521 - 1) ** 3) == PrimePower(2**521 - 1, 3)
+    for q in (-1, 0, 1):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            PrimePower.of(q)
     with pytest.raises(ValueError):
         PrimePower.of(12)
     with pytest.raises(ValueError):
@@ -157,28 +165,39 @@ def test_prime_power_recognition():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_field_axioms_exhaustive(q):
     F = FieldTable(PrimePower.of(q))
-    elems = list(F.elements())
-    for x in elems:
-        for y in elems:
-            assert F.add(x, y) == F.add(y, x)
-            assert F.mul(x, y) == F.mul(y, x)
-            for z in elems:
-                assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
-                assert F.add(x, F.add(y, z)) == F.add(F.add(x, y), z)
-    for x in elems[1:]:
-        assert F.mul(x, F.inv(x)) == 1
+    add, mul = F.add, F.mul
+    for x in range(q):
+        for y in range(q):
+            assert add[x][y] == add[y][x]
+            assert mul[x][y] == mul[y][x]
+            for z in range(q):
+                assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+                assert add[x][add[y][z]] == add[add[x][y]][z]
+    for x in range(1, q):
+        assert mul[x][F.inv[x]] == 1
+        assert add[x][F.neg[x]] == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 81])
+def test_field_tables_match_brute_force(q):
+    F = FieldTable(PrimePower.of(q))
+    add, mul, neg, inv = brute_gf(F.p, F.modulus)
+    assert F.add == add
+    assert F.mul == mul
+    assert F.neg == neg
+    assert F.inv == inv
 
 
 def test_gf2_addition():
     F = FieldTable(PrimePower(2, 1))
-    assert F.add(1, 1) == 0
+    assert F.add[1][1] == 0
 
 
 def test_gf4_product_of_generators():
     F = FieldTable(PrimePower(2, 2))
     # modulus is t^2 + t + 1; elements 2 and 3 encode t and t+1
     assert F.modulus == (1, 1, 1)
-    assert F.mul(2, 3) == 1
+    assert F.mul[2][3] == 1
 
 
 @pytest.mark.parametrize(
@@ -202,30 +221,35 @@ def test_field_modulus_is_smallest_irreducible(q, modulus):
 def test_gf9_inverses_exhaustive():
     F = FieldTable(PrimePower(3, 2))
     for x in range(1, 9):
-        assert F.mul(x, F.inv(x)) == 1
+        assert F.mul[x][F.inv[x]] == 1
 
 
 def field_power(F, x, e):
     """x**e in F by e - 1 multiplications."""
     out = x
     for _ in range(e - 1):
-        out = F.mul(out, x)
+        out = F.mul[out][x]
     return out
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81])
 def test_frobenius_is_additive(q):
     F = FieldTable(PrimePower.of(q))
-    p = F.p
-    frob = [field_power(F, x, p) for x in F.elements()]
-    for x in F.elements():
-        for y in F.elements():
-            assert frob[F.add(x, y)] == F.add(frob[x], frob[y])
+    frob = [field_power(F, x, F.p) for x in range(q)]
+    for x in range(q):
+        for y in range(q):
+            assert frob[F.add[x][y]] == F.add[frob[x]][frob[y]]
 
 
 def test_multiplicative_group_cyclic():
-    for q in (4, 8, 9, 16):
+    for q in (4, 8, 9, 16, 25, 27):
         F = FieldTable(PrimePower.of(q))
-        powers = {field_power(F, F.generator, e) for e in range(1, q)}
-        assert powers == set(range(1, q))
-        assert F.exp == [field_power(F, F.generator, e) if e else 1 for e in range(q - 1)]
+        orders = []
+        for g in range(1, q):
+            powers = [g]
+            while powers[-1] != 1 and len(powers) < q:
+                powers.append(F.mul[powers[-1]][g])
+            assert powers[-1] == 1, (q, g)
+            orders.append(len(powers))
+        assert all((q - 1) % e == 0 for e in orders)
+        assert max(orders) == q - 1  # a generator exists

@@ -61,6 +61,9 @@ def test_construct_diffset_unknown_ambient(capsys):
         (["diffset", "cyclic11", "0", "0"], "k must be in 1..11"),
         (["diffset", "cyclic11", "-1", "0"], "k must be in 1..11"),
         (["diffset", "cyclic11", "12", "11"], "k must be in 1..11"),
+        # (2^61 - 1)(2^89 - 1): rejected without factoring
+        (["pg", "3", "1427247692705959880439315947500961989719490561"],
+         "1427247692705959880439315947500961989719490561 is not a prime power"),
     ],
 )
 def test_construct_bad_input(capsys, what, message):

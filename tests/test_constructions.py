@@ -85,19 +85,18 @@ def test_projective_space_pg8_2():
 
 
 @pytest.mark.parametrize("n,q", [(6, 2), (3, 9)])
-def test_projective_space_field_calls_are_per_element_pair(monkeypatch, n, q):
-    # GF(q) is tabulated once: O(q^2) field calls, none per point pair
-    calls = []
-    for name in ("add", "mul"):
-        method = getattr(FieldTable, name)
+def test_projective_space_builds_one_field_table(monkeypatch, n, q):
+    # GF(q) is tabulated once, by one FieldTable, and only read after that
+    built = []
+    init = FieldTable.__init__
 
-        def counted(self, x, y, method=method):
-            calls.append(1)
-            return method(self, x, y)
+    def counted(self, prime_power):
+        built.append(prime_power)
+        init(self, prime_power)
 
-        monkeypatch.setattr(FieldTable, name, counted)
+    monkeypatch.setattr(FieldTable, "__init__", counted)
     projective_space(n, q)
-    assert 0 < len(calls) <= 2 * q * q + 4 * q
+    assert len(built) == 1 and built[0].q == q
 
 
 # --- difference sets ---------------------------------------------------------

@@ -133,12 +133,12 @@ def make_psu4_2() -> None:
     F = FieldTable(PrimePower(2, 2))
 
     def conj(c):
-        return F.mul(c, c)
+        return F.mul[c][c]
 
     def h(x, y):
         s = 0
         for xi, yi in zip(x, y):
-            s = F.add(s, F.mul(xi, conj(yi)))
+            s = F.add[s][F.mul[xi][conj(yi)]]
         return s
 
     pts = pg_points(4, F)
@@ -148,14 +148,13 @@ def make_psu4_2() -> None:
 
     def normalize(v):
         lead = next(c for c in v if c != 0)
-        li = F.inv(lead)
-        return tuple(F.mul(li, c) for c in v)
+        return tuple(F.mul[F.inv[lead]][c] for c in v)
 
     def transvection(v):
         images = []
         for x in iso:
             coef = h(x, v)
-            img = tuple(F.add(xi, F.mul(coef, vi)) for xi, vi in zip(x, v))
+            img = tuple(F.add[xi][F.mul[coef][vi]] for xi, vi in zip(x, v))
             images.append(index[normalize(img)])
         return Permutation(images)
 
