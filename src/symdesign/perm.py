@@ -14,10 +14,16 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 
 
 class Permutation:
-    """A bijection of {0, ..., degree-1} stored as an image array."""
+    """A bijection of {0, ..., degree-1} stored as an image array.
+
+    The constructor checks that its images form a bijection.  Products and
+    inverses are bijections by construction and skip the check through
+    `_trusted`.
+    """
 
     __slots__ = ("degree", "images", "_hash")
 
@@ -28,6 +34,15 @@ class Permutation:
         self.degree = len(images)
         self.images = images
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection, unchecked."""
+        p = object.__new__(cls)
+        p.degree = len(images)
+        p.images = images
+        p._hash = None
+        return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -88,16 +103,16 @@ class Permutation:
         """Composition: (self * other)(x) = self(other(x))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(self.images[i] for i in other.images)
+        return Permutation._trusted(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(self.degree))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -111,6 +126,13 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r})"
 
 
+def _compose(outer: tuple, inner: tuple) -> tuple:
+    """The image tuple of x -> outer[inner[x]]."""
+    # itemgetter of a single index returns the bare item, not a 1-tuple; the
+    # only bijection of degree 0 or 1 is the identity, so inner is the answer
+    return itemgetter(*inner)(outer) if len(inner) > 1 else inner
+
+
 class _StabilizerChain:
     """Stabilizer chain over a full base, built by Knuth's Schreier-Sims.
 
@@ -118,7 +140,8 @@ class _StabilizerChain:
     order.  gens[i] alone generates the stabilizer of base[:i] (gens[-1],
     the stabilizer of every point, stays empty); transversals[i] maps each
     point x of the orbit of base[i] under it to the inverse of a
-    representative carrying base[i] to x.
+    representative carrying base[i] to x.  Levels from `depth` on have
+    only the identity in their transversals.
     """
 
     def __init__(self, generators, degree, first):
@@ -126,6 +149,7 @@ class _StabilizerChain:
         self.base = [first] + [pt for pt in range(degree) if pt != first]
         self.gens: list[list[Permutation]] = [[] for _ in range(degree + 1)]
         self.transversals = [{b: identity} for b in self.base]
+        self.depth = 0
         self._absorb(generators)
 
     def _absorb(self, generators) -> None:
@@ -149,27 +173,31 @@ class _StabilizerChain:
                     self.gens[level].append(p)
                     work.extend((level, p * u, False) for u in reps[level].values())
                 continue
-            img = p(self.base[level])
+            img = p.images[self.base[level]]
             inv = self.transversals[level].get(img)
             if inv is None:
                 reps[level][img] = p
                 self.transversals[level][img] = p.inverse()
+                self.depth = max(self.depth, level + 1)
                 work.extend((level, g * p, False) for g in self.gens[level])
             else:
                 work.append((level + 1, inv * p, True))
 
     def strip(self, g: Permutation) -> Permutation:
-        """Sift g through every level; the residue is the identity iff g is
+        """Sift g through the levels; the residue is the identity iff g is
         in the group.  A level whose base point g fixes has the identity as
-        its representative and is skipped."""
-        for b, tr in zip(self.base, self.transversals):
-            img = g(b)
+        its representative and is skipped.  A level from `depth` on either
+        is skipped or ends the sift with g unchanged, so the walk stops
+        there; products are taken on image tuples."""
+        images = g.images
+        for b, tr in zip(self.base, self.transversals[: self.depth]):
+            img = images[b]
             if img != b:
                 inv = tr.get(img)
                 if inv is None:
-                    return g
-                g = inv * g
-        return g
+                    break
+                images = _compose(inv.images, images)
+        return g if images is g.images else Permutation._trusted(images)
 
     def order(self) -> int:
         return prod(len(tr) for tr in self.transversals)
@@ -232,7 +260,8 @@ class PermutationGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
-        return frozenset(orbit_of(point, self.generators, Permutation.__call__))
+        images = [g.images for g in self.generators]
+        return frozenset(orbit_of(point, images, tuple.__getitem__))
 
     def orbits(self) -> list[frozenset[int]]:
         out = []
@@ -271,9 +300,9 @@ class PermutationGroup:
         as the smallest point of each point's class.
 
         Union-find: merging two classes queues their roots, and each queued
-        pair (x, y) merges g(x) with g(y) for every generator g.  At most
-        n - 1 merges happen, so at most (n - 1) * |generators| pairs are
-        examined, whatever the set.
+        pair (x, y) merges g(x) with g(y) for every generator g, read from
+        the generators' image tuples.  At most n - 1 merges happen, so at
+        most (n - 1) * |generators| pairs are examined, whatever the set.
         """
         parent = list(range(self.degree))
         queue = []
@@ -296,9 +325,10 @@ class PermutationGroup:
         points = list(points)
         for pt in points[1:]:
             union(points[0], pt)
+        images = [g.images for g in self.generators]
         for x, y in queue:
-            for g in self.generators:
-                union(g(x), g(y))
+            for im in images:
+                union(im[x], im[y])
         return [find(pt) for pt in range(self.degree)]
 
     def minimal_block(self, alpha: int, beta: int) -> frozenset[int]:

@@ -137,12 +137,17 @@ def brute_elements(generators, degree):
     return seen
 
 
-def brute_minimal_block(generators, degree, alpha, beta):
-    """Smallest block containing {alpha, beta} by subset search (degree <= 12)."""
-    elements = brute_elements(generators, degree)
+def brute_minimal_block(generators, degree, alpha, beta, elements=None):
+    """Smallest block containing {alpha, beta} by subset search (degree <= 12).
+
+    `elements`, if given, is brute_elements(generators, degree), so callers
+    asking about several pairs close the group once.
+    """
+    if elements is None:
+        elements = brute_elements(generators, degree)
     rest = [p for p in range(degree) if p not in (alpha, beta)]
-    best = None
-    for size in range(0, len(rest) + 1):
+    # the whole set, the last candidate, is always a block
+    for size in range(0, len(rest)):
         for extra in combinations(rest, size):
             cand = frozenset((alpha, beta) + extra)
             ok = True
@@ -153,7 +158,7 @@ def brute_minimal_block(generators, degree, alpha, beta):
                     break
             if ok:
                 return cand
-    return best  # pragma: no cover - full set is always a block
+    return frozenset(range(degree))
 
 
 def flag_transitive_two_step(G, D) -> bool:

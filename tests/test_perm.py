@@ -1,9 +1,11 @@
 import random
 import time
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_elements, brute_group_order, brute_minimal_block
 from symdesign.constructions import load_group
@@ -59,6 +61,33 @@ def test_parse_rejects_malformed(text):
 def test_compose_inverse_identity():
     g = Permutation.from_cycles("(1,2,3)(4,5)", 6)
     assert (g * g.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("images", [(0, 0, 1), [1, 2]])
+def test_constructor_rejects_non_bijection(images):
+    with pytest.raises(ValueError, match="images do not form a bijection"):
+        Permutation(images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    )
+)
+def test_products_and_inverses_match_validated(pair):
+    p, q = Permutation(pair[0]), Permutation(pair[1])
+    n = p.degree
+    # rebuilt through the validating constructor, from the definitions
+    product_ = Permutation([p.images[q.images[x]] for x in range(n)])
+    inverse = Permutation([p.images.index(x) for x in range(n)])
+    for got, want in ((p * q, product_), (p.inverse(), inverse)):
+        assert got == want and got.images == want.images
+        assert type(got.images) is tuple and got.degree == n
+        assert hash(got) == hash(want)
+    assert p.is_identity() == (list(p.images) == list(range(n)))
+    assert (p * p.inverse()).is_identity()
+    assert (p.inverse() * p).is_identity()
 
 
 def test_orbit_sigma_group_transitive():
@@ -170,7 +199,9 @@ def check_chain_against_brute(G):
         assert stab.order() == sum(1 for p in elements if p[a] == a)
 
 
-def test_schreier_sims_vs_brute_closure():
+def random_small_groups():
+    """25 groups of degree 3-7 on 1 or 2 random generators, the same on
+    every call."""
     rng = random.Random(20260823)
     checked = 0
     while checked < 25:
@@ -180,13 +211,16 @@ def test_schreier_sims_vs_brute_closure():
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(Permutation(images))
-        G = PermutationGroup(gens, degree)
-        brute = brute_group_order([g.images for g in gens], degree)
-        if brute > 10**4:  # pragma: no cover - degree cap keeps this small
-            continue
-        assert G.order() == brute
-        check_chain_against_brute(G)
+        if brute_group_order([g.images for g in gens], degree) > 10**4:  # pragma: no cover
+            continue  # the degree cap keeps every group this small
+        yield PermutationGroup(gens, degree)
         checked += 1
+
+
+def test_schreier_sims_vs_brute_closure():
+    for G in random_small_groups():
+        assert G.order() == brute_group_order([g.images for g in G.generators], G.degree)
+        check_chain_against_brute(G)
     for G in (
         PermutationGroup([], 5),
         PermutationGroup([Permutation.identity(5)]),
@@ -201,6 +235,127 @@ def test_deep_chain_symmetric_30():
     G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
     assert G.order() == factorial(30)
     assert G.point_stabilizer(29).order() == factorial(29)
+
+
+def pgl2_generators(n):
+    """A transvection and the cyclic permutation matrix, which generate
+    GL(n, 2), acting on PG(n-1, 2): point v - 1 is the nonzero vector of
+    GF(2)^n with bitmask v."""
+
+    def act(rows):
+        images = []
+        for v in range(1, 2**n):
+            w = 0
+            for i in range(n):
+                if v >> i & 1:
+                    w ^= rows[i]
+            images.append(w - 1)
+        return Permutation(images)
+
+    transvection = [0b11] + [1 << i for i in range(1, n)]
+    cycle = [1 << ((i + 1) % n) for i in range(n)]
+    return [act(transvection), act(cycle)]
+
+
+def gl2_order(n):
+    return prod(2**n - 2**i for i in range(n))
+
+
+def random_word(rng, gens, length=12):
+    g = Permutation.identity(gens[0].degree)
+    for _ in range(length):
+        g = g * rng.choice(gens)
+    return g
+
+
+def full_walk_strip(chain, g):
+    """The residue of g sifted through every level of the chain's base, with
+    each product rebuilt through the validating constructor."""
+    for b, tr in zip(chain.base, chain.transversals):
+        img = g.images[b]
+        if img != b:
+            inv = tr.get(img)
+            if inv is None:
+                return g
+            g = Permutation([inv.images[x] for x in g.images])
+    return g
+
+
+def check_strip_depth(G, members, non_members):
+    chain = G._chain()
+    assert all(len(tr) == 1 for tr in chain.transversals[chain.depth:])
+    assert chain.depth == 0 or len(chain.transversals[chain.depth - 1]) > 1
+    for g, member in [(g, True) for g in members] + [(g, False) for g in non_members]:
+        residue = chain.strip(g)
+        assert residue == full_walk_strip(chain, g)
+        assert residue.is_identity() == member
+
+
+def test_strip_depth_cut_small_groups():
+    rng = random.Random(5)
+    for G in random_small_groups():
+        elements = brute_elements([g.images for g in G.generators], G.degree)
+        candidates = [tuple(rng.sample(range(G.degree), G.degree)) for _ in range(40)]
+        check_strip_depth(
+            G,
+            [Permutation(p) for p in sorted(elements)[:40]],
+            [Permutation(p) for p in candidates if p not in elements],
+        )
+
+
+def test_strip_depth_cut_symmetric_30():
+    rng = random.Random(30)
+    G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
+    randoms = [Permutation(rng.sample(range(30), 30)) for _ in range(60)]
+    check_strip_depth(G, randoms, [])
+    # the stabilizer of the last point: its chain is trivial from level 28 on,
+    # and a permutation moving point 29 is outside it
+    H = G.point_stabilizer(29)
+    check_strip_depth(
+        H,
+        [random_word(rng, H.generators) for _ in range(30)],
+        [g for g in randoms if g(29) != 29],
+    )
+
+
+def is_even(g):
+    seen = set()
+    transpositions = 0
+    for start in range(g.degree):
+        length = 0
+        pt = start
+        while pt not in seen:
+            seen.add(pt)
+            pt = g(pt)
+            length += 1
+        transpositions += max(length - 1, 0)
+    return transpositions % 2 == 0
+
+
+def test_strip_depth_cut_relabelled_pgl_5_2():
+    rng = random.Random(52)
+    relabel = Permutation(rng.sample(range(31), 31))
+    gens = [relabel * g * relabel.inverse() for g in pgl2_generators(5)]
+    G = PermutationGroup(gens)
+    members = [random_word(rng, gens) for _ in range(40)]
+    # PGL(5,2) is simple, so it has only even permutations; a member times a
+    # transposition is odd and outside
+    swap = Permutation.from_cycles("(1,2)", 31)
+    non_members = [g * swap for g in members]
+    for _ in range(40):
+        g = Permutation(rng.sample(range(31), 31))
+        if not is_even(g):
+            non_members.append(g)
+    assert G.order() == gl2_order(5)
+    check_strip_depth(G, members, non_members)
+
+
+def test_pgl_7_2_on_127_points():
+    G = PermutationGroup(pgl2_generators(7))
+    assert G.degree == 127
+    assert G.order() == gl2_order(7)
+    assert G.subdegrees(0) == [1, 126]
+    assert G.is_primitive()[0]
 
 
 def test_subdegrees_sym3():
@@ -259,6 +414,32 @@ def test_minimal_block_vs_brute_force():
             assert G.minimal_block(0, beta) == brute_minimal_block(
                 raw, degree, 0, beta
             ), (text, beta)
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, gens
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_groups())
+def test_blocks_and_primitivity_vs_brute_random_groups(case):
+    degree, raw = case
+    G = PermutationGroup([Permutation(g) for g in raw], degree)
+    elements = brute_elements(raw, degree)
+    blocks = [brute_minimal_block(raw, degree, 0, beta, elements) for beta in range(1, degree)]
+    for beta, blk in enumerate(blocks, start=1):
+        assert G.minimal_block(0, beta) == blk, beta
+    if {p[0] for p in elements} == set(range(degree)):
+        primitive, system = G.is_primitive()
+        assert primitive == all(len(blk) == degree for blk in blocks)
+        if not primitive:
+            # the witness develops the first smallest proper block found
+            smallest = min(len(blk) for blk in blocks)
+            assert system.classes()[0] == next(b for b in blocks if len(b) == smallest)
+            assert system.num_classes * smallest == degree
 
 
 def test_is_primitive_sigma_witness():
