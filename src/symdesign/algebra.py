@@ -44,9 +44,8 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    """True if n is a strong probable prime to the given base."""
-    if base % n == 0:
-        return True
+    """True if n is a strong probable prime to the given base, for odd n
+    greater than the base."""
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -160,13 +159,11 @@ class Factorization:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant).
+    """A nontrivial factor of odd composite n (Brent's cycle variant).
 
     The additive constant runs through a fixed schedule, so results are
     reproducible run to run.
     """
-    if n % 2 == 0:
-        return 2
     for c in itertools.count(1):
         y, m = 2, 128
         g = r = q = 1
@@ -213,8 +210,6 @@ def factorize(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -135,11 +135,13 @@ def admissible(v, k_bound, required_lambda=None):
 
 
 def check_bounds(kind: str, **params) -> bool:
-    """Exact evaluation of the bound lemmas; True when the bounds hold."""
+    """Exact evaluation of the bound lemmas; True when the bounds hold.
+
+    The group-order kinds raise ValueError, from GroupFamilySpec, for an
+    (n, q) outside their family's range.
+    """
     if kind == "psl_order":
         n, q = params["n"], params["q"]
-        if n < 2:
-            raise ValueError("psl_order needs n >= 2")
         spec = GroupFamilySpec("PSL", n, PrimePower.of(q))
         psl = simple_order(spec)
         sl = psl * math.gcd(n, q - 1)
@@ -148,8 +150,6 @@ def check_bounds(kind: str, **params) -> bool:
         return q ** (n * n - 2) < psl <= sl <= upper
     if kind == "psu_order":
         n, q = params["n"], params["q"]
-        if n < 3:
-            raise ValueError("psu_order needs n >= 3")
         spec = GroupFamilySpec("PSU", n, PrimePower.of(q))
         psu = simple_order(spec)
         su = psu * math.gcd(n, q + 1)
@@ -159,8 +159,6 @@ def check_bounds(kind: str, **params) -> bool:
         return lower < psu <= su <= upper
     if kind == "psp_order":
         n, q = params["n"], params["q"]
-        if n < 4 or n % 2:
-            raise ValueError("psp_order needs even n >= 4")
         spec = GroupFamilySpec("PSp", n, PrimePower.of(q))
         psp = simple_order(spec)
         sp = psp * math.gcd(2, q - 1)
@@ -171,10 +169,6 @@ def check_bounds(kind: str, **params) -> bool:
         return lower < psp <= sp <= upper
     if kind == "omega_order":
         n, q = params["n"], params["q"]
-        if n < 4:
-            raise ValueError("omega_order needs n >= 4")
-        if n % 2 == 0 or q % 2 == 0:
-            raise ValueError("only odd-dimensional Omega over odd q is modeled")
         spec = GroupFamilySpec("OmegaOdd", n, PrimePower.of(q))
         omega = simple_order(spec)  # = Omega_n(q): trivial center in odd dim
         so = 2 * omega
@@ -184,12 +178,8 @@ def check_bounds(kind: str, **params) -> bool:
         return lower < omega < so <= upper
     if kind == "pomega_order":
         n, q, eps = params["n"], params["q"], params["eps"]
-        if n < 6:
-            raise ValueError("pomega_order needs n >= 6")
         fam = "POmegaPlus" if eps == 1 else "POmegaMinus"
-        spec = GroupFamilySpec(fam, max(n, 8), PrimePower.of(q))
-        if n != spec.n:  # n == 6 exists but is excluded by the spec guard
-            raise ValueError("pomega_order modeled for n >= 8 only")
+        spec = GroupFamilySpec(fam, n, PrimePower.of(q))
         pomega = simple_order(spec)
         m = n // 2
         # q odd: |SO| = gcd(4, q^m - eps) * |POmega|; q even: SO = O ) Omega

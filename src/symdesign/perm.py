@@ -20,9 +20,7 @@ from operator import itemgetter
 class Permutation:
     """A bijection of {0, ..., degree-1} stored as an image array.
 
-    The constructor checks that its images form a bijection.  Products and
-    inverses are bijections by construction and skip the check through
-    `_trusted`.
+    The constructor checks that its images form a bijection.
     """
 
     __slots__ = ("degree", "images", "_hash")
@@ -34,15 +32,6 @@ class Permutation:
         self.degree = len(images)
         self.images = images
         self._hash = None
-
-    @classmethod
-    def _trusted(cls, images: tuple) -> "Permutation":
-        """Wrap an image tuple already known to be a bijection, unchecked."""
-        p = object.__new__(cls)
-        p.degree = len(images)
-        p.images = images
-        p._hash = None
-        return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -103,13 +92,10 @@ class Permutation:
         """Composition: (self * other)(x) = self(other(x))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation._trusted(_compose(self.images, other.images))
+        return Permutation(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation(_invert(self.images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(self.degree))
@@ -133,6 +119,14 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
     return itemgetter(*inner)(outer) if len(inner) > 1 else inner
 
 
+def _invert(images: tuple) -> tuple:
+    """The image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
+
+
 class _StabilizerChain:
     """Stabilizer chain over a full base, built by Knuth's Schreier-Sims.
 
@@ -141,16 +135,17 @@ class _StabilizerChain:
     the stabilizer of every point, stays empty); transversals[i] maps each
     point x of the orbit of base[i] under it to the inverse of a
     representative carrying base[i] to x.  Levels from `depth` on have
-    only the identity in their transversals.
+    only the identity in their transversals.  Generators, representatives
+    and sift residues are image tuples.
     """
 
     def __init__(self, generators, degree, first):
-        identity = Permutation.identity(degree)
+        self.identity = tuple(range(degree))
         self.base = [first] + [pt for pt in range(degree) if pt != first]
-        self.gens: list[list[Permutation]] = [[] for _ in range(degree + 1)]
-        self.transversals = [{b: identity} for b in self.base]
+        self.gens: list[list[tuple]] = [[] for _ in range(degree + 1)]
+        self.transversals = [{b: self.identity} for b in self.base]
         self.depth = 0
-        self._absorb(generators)
+        self._absorb([g.images for g in generators])
 
     def _absorb(self, generators) -> None:
         """Knuth's procedures A and B as one worklist, so nothing recurses.
@@ -169,41 +164,40 @@ class _StabilizerChain:
         while work:
             level, p, is_gen = work.pop()
             if is_gen:
-                if not self.strip(p).is_identity():
+                if self.strip(p) != self.identity:
                     self.gens[level].append(p)
-                    work.extend((level, p * u, False) for u in reps[level].values())
+                    work.extend((level, _compose(p, u), False) for u in reps[level].values())
                 continue
-            img = p.images[self.base[level]]
+            img = p[self.base[level]]
             inv = self.transversals[level].get(img)
             if inv is None:
                 reps[level][img] = p
-                self.transversals[level][img] = p.inverse()
+                self.transversals[level][img] = _invert(p)
                 self.depth = max(self.depth, level + 1)
-                work.extend((level, g * p, False) for g in self.gens[level])
+                work.extend((level, _compose(g, p), False) for g in self.gens[level])
             else:
-                work.append((level + 1, inv * p, True))
+                work.append((level + 1, _compose(inv, p), True))
 
-    def strip(self, g: Permutation) -> Permutation:
-        """Sift g through the levels; the residue is the identity iff g is
-        in the group.  A level whose base point g fixes has the identity as
-        its representative and is skipped.  A level from `depth` on either
-        is skipped or ends the sift with g unchanged, so the walk stops
-        there; products are taken on image tuples."""
-        images = g.images
+    def strip(self, images: tuple) -> tuple:
+        """Sift an image tuple through the levels; the residue is the
+        identity iff it is in the group.  A level whose base point it fixes
+        has the identity as its representative and is skipped.  A level
+        from `depth` on either is skipped or ends the sift unchanged, so
+        the walk stops there."""
         for b, tr in zip(self.base, self.transversals[: self.depth]):
             img = images[b]
             if img != b:
                 inv = tr.get(img)
                 if inv is None:
                     break
-                images = _compose(inv.images, images)
-        return g if images is g.images else Permutation._trusted(images)
+                images = _compose(inv, images)
+        return images
 
     def order(self) -> int:
         return prod(len(tr) for tr in self.transversals)
 
     def contains(self, g: Permutation) -> bool:
-        return self.strip(g).is_identity()
+        return self.strip(g.images) == self.identity
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,8 @@ class PermutationGroup:
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
-        return PermutationGroup(self._chain(point).gens[1], self.degree)
+        gens = self._chain(point).gens[1]
+        return PermutationGroup([Permutation(g) for g in gens], self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
         """Sorted orbit lengths of the stabilizer of point (G transitive)."""

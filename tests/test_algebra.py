@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -13,6 +14,7 @@ from symdesign.algebra import (
     factorize,
     is_prime,
     is_prime_certain,
+    _strong_lucas,
 )
 
 
@@ -38,6 +40,36 @@ def test_is_prime_certainty_flag():
     assert ok and not certain
     # composite verdicts above 2**64 are certain
     assert is_prime_certain(2**89 - 1 + 2) == (False, True)
+
+
+# OEIS A217255: strong Lucas pseudoprimes (Selfridge parameters) below 140000
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+    40309, 58519, 75077, 97439, 100127, 113573, 115639, 130139,
+]
+
+
+def test_strong_lucas_matches_sieve_and_pseudoprime_list():
+    limit = 140_000
+    flags = sieve_primes(limit)
+    passing_composites = []
+    for n in range(5, limit, 2):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        if flags[n]:
+            assert _strong_lucas(n), n
+        elif _strong_lucas(n):
+            passing_composites.append(n)
+    assert passing_composites == STRONG_LUCAS_PSEUDOPRIMES
+
+
+def test_is_prime_above_2_64_runs_lucas_ladder():
+    # neither is a Mersenne number, so the Lucas ladder has bits to climb
+    p = 2**64 + 13
+    assert is_prime(p)
+    assert is_prime(10**20 + 39)
+    assert not is_prime(p * (2**61 - 1))
+    assert is_prime_certain(p * p) == (False, True)  # caught as a perfect square
 
 
 def test_factorize_known_values():

@@ -35,6 +35,7 @@ def test_construct_catalog_with_group(capsys, tmp_path):
     assert code2 == 0
     assert "flag-transitive: yes" in out2
     assert "primitive: yes" in out2
+    assert run(capsys, "group", "primitive", str(g_file)) == (0, "primitive: yes\n", "")
 
 
 def test_construct_diffset(capsys):
@@ -64,11 +65,21 @@ def test_construct_diffset_unknown_ambient(capsys):
         # (2^61 - 1)(2^89 - 1): rejected without factoring
         (["pg", "3", "1427247692705959880439315947500961989719490561"],
          "1427247692705959880439315947500961989719490561 is not a prime power"),
+        (["pg", "3"], "construct pg needs: pg N Q"),
+        (["diffset", "cyclic11", "5"], "construct diffset needs: diffset AMBIENT K LAMBDA"),
+        (["fano_complement", "x"], "construct takes one catalog name, or pg/diffset forms"),
     ],
 )
 def test_construct_bad_input(capsys, what, message):
     code, out, err = run(capsys, "construct", *what)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_construct_diffset_none_found(capsys):
+    # 5 * 4 != 3 * 10, so no (11, 5, 3) difference set exists
+    assert run(capsys, "construct", "diffset", "cyclic11", "5", "3") == (
+        1, "no difference set found\n", ""
+    )
 
 
 @pytest.mark.parametrize("ambient,n", [("cyclic7", "7"), ("cyclic11", "11")])
@@ -134,6 +145,13 @@ def test_group_queries(capsys, tmp_path):
     code, out, _ = run(capsys, "group", "orbits", str(g_file))
     assert code == 0
     assert out.strip().count("\n") == 0  # transitive: one orbit line
+
+
+@pytest.mark.parametrize("query", ["subdegrees", "primitive"])
+def test_group_query_needs_transitive(capsys, tmp_path, query):
+    g_file = tmp_path / "g.grp"
+    g_file.write_text("degree 4\n(1,2)\n")
+    assert run(capsys, "group", query, str(g_file)) == (1, "group is not transitive\n", "")
 
 
 def test_group_point_out_of_range(capsys, tmp_path):

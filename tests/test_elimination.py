@@ -216,6 +216,22 @@ def test_pomega_order_bounds(n, q, eps):
     assert check_bounds("pomega_order", n=n, q=q, eps=eps)
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("psl_order", {"n": 1}, r"PSL_n\(q\) needs n >= 2"),
+        ("psu_order", {"n": 2}, r"PSU_n\(q\) needs n >= 3"),
+        ("psp_order", {"n": 5}, r"PSp_n\(q\) needs even n >= 4"),
+        ("omega_order", {"n": 5}, r"Omega_n\(q\) needs odd n >= 7"),
+        ("pomega_order", {"n": 6, "eps": 1}, "POmega needs even n >= 8"),
+        ("pomega_order", {"n": 9, "eps": -1}, "POmega needs even n >= 8"),
+    ],
+)
+def test_order_bounds_reject_n_below_family_range(kind, params, message):
+    with pytest.raises(ValueError, match=message):
+        check_bounds(kind, q=3, **params)
+
+
 def test_factorial_bounds():
     for t in range(5, 31):
         assert check_bounds("factorial5", t=t)

@@ -277,7 +277,7 @@ def full_walk_strip(chain, g):
             inv = tr.get(img)
             if inv is None:
                 return g
-            g = Permutation([inv.images[x] for x in g.images])
+            g = Permutation([inv[x] for x in g.images])
     return g
 
 
@@ -286,9 +286,9 @@ def check_strip_depth(G, members, non_members):
     assert all(len(tr) == 1 for tr in chain.transversals[chain.depth:])
     assert chain.depth == 0 or len(chain.transversals[chain.depth - 1]) > 1
     for g, member in [(g, True) for g in members] + [(g, False) for g in non_members]:
-        residue = chain.strip(g)
-        assert residue == full_walk_strip(chain, g)
-        assert residue.is_identity() == member
+        residue = chain.strip(g.images)
+        assert residue == full_walk_strip(chain, g).images
+        assert (residue == tuple(range(G.degree))) == member
 
 
 def test_strip_depth_cut_small_groups():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import sys
-from itertools import product
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -44,6 +43,19 @@ SIGMA_GENERATORS = [
 
 # every file the tool writes, in SHA256SUMS order
 WRITTEN = ("psl2_11.grp", "psl2_7.grp", "psu4_2.grp", "sigma45.grp", "unitary_45_12_3.block")
+
+
+def greedy_group(candidates, degree: int, order: int) -> PermutationGroup:
+    """The group generated by a greedy pass over candidates: each one the
+    group so far does not contain joins its generators (the identity never
+    does), until the group has the given order."""
+    G = PermutationGroup([], degree)
+    for g in candidates:
+        if not G.contains(g):
+            G = PermutationGroup(G.generators + [g], degree)
+            if G.order() == order:
+                break
+    return G
 
 
 def make_sigma45() -> None:
@@ -107,15 +119,7 @@ def make_psl2_11() -> None:
     search([None] * 11, set(), 0)
     assert len(autos) == 660, len(autos)
     autos.sort(key=lambda g: g.images)
-    gens: list[Permutation] = []
-    for g in autos:
-        if g.is_identity():
-            continue
-        if gens and PermutationGroup(gens, 11).order() == 660:
-            break
-        if not gens or not PermutationGroup(gens, 11).contains(g):
-            gens.append(g)
-    G = PermutationGroup(gens, 11)
+    G = greedy_group(autos, 11, 660)
     assert G.order() == 660, G.order()
     assert is_flag_transitive(G, D)
     write_group_file(DATA / "psl2_11.grp", G)
@@ -158,13 +162,7 @@ def make_psu4_2() -> None:
             images.append(index[normalize(img)])
         return Permutation(images)
 
-    G = PermutationGroup([], 45)
-    for v in iso:
-        t = transvection(v)
-        if not G.contains(t):
-            G = PermutationGroup(G.generators + [t], 45)
-            if G.order() == 25920:
-                break
+    G = greedy_group(map(transvection, iso), 45, 25920)
     assert G.order() == 25920, G.order()
     assert G.is_transitive()
     primitive, _ = G.is_primitive()
