@@ -126,7 +126,7 @@ def is_prime_certain(n: int) -> tuple[bool, bool]:
         raise ValueError("primality is defined for nonnegative integers")
     if n < 2:
         return False, True
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n == p:
             return True, True
         if n % p == 0:

@@ -23,7 +23,7 @@ class Permutation:
     The constructor checks that its images form a bijection.
     """
 
-    __slots__ = ("degree", "images", "_hash")
+    __slots__ = ("degree", "images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -31,7 +31,6 @@ class Permutation:
             raise ValueError("images do not form a bijection")
         self.degree = len(images)
         self.images = images
-        self._hash = None
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -97,16 +96,11 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(_invert(self.images))
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(self.degree))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r})"

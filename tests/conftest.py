@@ -1,7 +1,7 @@
 import sys
 from pathlib import Path
 
-# make the oracles module importable regardless of invocation directory
+# make the oracles and lemmas modules importable regardless of invocation directory
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}

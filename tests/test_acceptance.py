@@ -6,6 +6,7 @@ Run via `pytest tests/test_acceptance.py -v` or `symdesign selftest`.
 import random
 import time
 
+from lemmas import check_bounds, check_division_identity
 from oracles import (
     brute_admissible,
     brute_group_order,
@@ -17,8 +18,6 @@ from symdesign.constructions import catalog, load_group, pg_params, projective_s
 from symdesign.design import is_flag_transitive, orbit_design
 from symdesign.elimination import (
     AdmissiblePair,
-    check_bounds,
-    check_division_identity,
     corollary_families,
     load_catalog,
     run_catalog,

@@ -267,16 +267,18 @@ def test_eliminate_empty_scan(capsys):
 
 
 def test_eliminate_range_below_three_is_empty(capsys):
-    code, out, err = run(capsys, "eliminate", "--v", "4", "--bound", "12")
-    assert (code, out, err) == (0, "EMPTY\n", "")
+    for v, bound in (("4", "12"), ("11", "1"), ("11", "2")):
+        code, out, err = run(capsys, "eliminate", "--v", v, "--bound", bound)
+        assert (code, out, err) == (0, "EMPTY\n", ""), (v, bound)
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["--v", "3", "--bound", "12"], "admissible needs v >= 4"),
-        (["--v", "11", "--bound", "1"], "factorize needs n >= 2"),
+        (["--v", "11", "--bound", "0"], "admissible needs k_bound >= 1"),
         (["--table", "t2"], "no catalog rows match 't2'"),
+        (["--v", "11", "--bound", "-5"], "admissible needs k_bound >= 1"),
     ],
 )
 def test_eliminate_bad_input(capsys, argv, message):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lemmas import check_bounds, check_division_identity
 from oracles import brute_admissible
 from symdesign.algebra import PrimePower, factorize, is_prime
 from symdesign.elimination import (
@@ -8,8 +11,6 @@ from symdesign.elimination import (
     AdmissiblePair,
     GroupFamilySpec,
     admissible,
-    check_bounds,
-    check_division_identity,
     corollary_families,
     load_catalog,
     out_order,
@@ -167,6 +168,8 @@ def test_admissible_agrees_with_brute_scan():
         (22113, 415720, None),
         (2401, 2400, None),
         (1001, 5040, None),
+        (11, 1, None),
+        (11, 2, None),
     ]
     for v, bound, lam in cases:
         pairs = admissible(v, bound, lam)
@@ -174,6 +177,16 @@ def test_admissible_agrees_with_brute_scan():
             v,
             bound,
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 2000),
+    st.integers(1, 10**6),
+    st.none() | st.sampled_from([p for p in range(50) if is_prime(p)]),
+)
+def test_admissible_property_matches_brute_scan(v, b, lam):
+    assert [(p.k, p.lam) for p in admissible(v, b, lam)] == brute_admissible(v, b, lam)
 
 
 # --- exact bound lemmas --------------------------------------------------------
@@ -280,7 +293,7 @@ def test_division_identity_guards():
 def test_division_identity_perturbation_control():
     # a perturbed remainder must break the identity: check by recomputing the
     # remainder of g_n modulo q^j - 1 directly and comparing
-    from symdesign.elimination import _H_R_TABLE, _g_poly
+    from lemmas import _H_R_TABLE, _g_poly
 
     n, t = 12, 4
     j = n - t
