@@ -295,30 +295,16 @@ class PermutationGroup:
         """
         parent = list(range(self.degree))
         queue = []
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                # the smaller point stays the root, so roots are class minima
-                if rx > ry:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-                queue.append((rx, ry))
-
         points = list(points)
         for pt in points[1:]:
-            union(points[0], pt)
+            if merged := _union(parent, points[0], pt):
+                queue.append(merged)
         images = [g.images for g in self.generators]
         for x, y in queue:
             for im in images:
-                union(im[x], im[y])
-        return [find(pt) for pt in range(self.degree)]
+                if merged := _union(parent, im[x], im[y]):
+                    queue.append(merged)
+        return [_find(parent, pt) for pt in range(self.degree)]
 
     def minimal_block(self, alpha: int, beta: int) -> frozenset[int]:
         """Smallest block of imprimitivity containing {alpha, beta}.
@@ -334,21 +320,65 @@ class PermutationGroup:
     def is_primitive(self) -> tuple[bool, BlockSystem | None]:
         """Primitivity test; on failure also returns a witness system.
 
-        Scans minimal_block(0, beta) over all beta (valid by transitivity)
-        and develops the smallest proper block found into its partition.
+        Scans minimal_block(0, beta) in ascending beta (valid by
+        transitivity) and develops the first smallest proper block found
+        into its partition.  An element h of the stabilizer G_0 carries the
+        minimal block of {0, beta} onto that of {0, h(beta)}, so one beta
+        per orbit of G_0 suffices, and the least point of each orbit gives
+        the same first smallest block.  The scan skips every beta that is
+        not the least of its orbit under the Schreier generators of G_0
+        absorbed so far, one more absorbed after each minimal_block call;
+        their orbits refine those of G_0, so the answer does not depend on
+        how many are absorbed.
         """
         if not self.is_transitive():
             raise ValueError("primitivity requires a transitive group")
         if self.degree == 1:
             return True, None
+        stabilizer = self._schreier_generators(0)
+        parent = list(range(self.degree))
         best: frozenset[int] | None = None
         for beta in range(1, self.degree):
+            if parent[beta] != beta:  # roots are class minima
+                continue
             blk = self.minimal_block(0, beta)
             if len(blk) < self.degree and (best is None or len(blk) < len(best)):
                 best = blk
+            for x, y in enumerate(next(stabilizer, ())):
+                _union(parent, x, y)
         if best is None:
             return True, None
         return False, self.block_system(best)
+
+    def _schreier_generators(self, point: int):
+        """The nontrivial Schreier generators of the stabilizer of `point`,
+        as image tuples, made one at a time (Seress, *Permutation Group
+        Algorithms*, 2003, 4.1).
+
+        A breadth-first search over the generators gives u[x], carrying
+        point to x, and its inverse t[x] for every x in the orbit.  Each
+        generator s and orbit point x give t[s(x)] s u[x], which fixes
+        point.  The deepest points come first: their representatives are
+        the longest words.
+        """
+        identity = tuple(range(self.degree))
+        gens = [g.images for g in self.generators]
+        pairs = [(s, _invert(s)) for s in gens]  # each inverse built once
+        u = {point: identity}
+        t = {point: identity}
+        queue = [point]
+        for x in queue:
+            for s, s_inv in pairs:
+                y = s[x]
+                if y not in u:
+                    u[y] = _compose(s, u[x])
+                    t[y] = _compose(t[x], s_inv)
+                    queue.append(y)
+        for x in reversed(queue):
+            for s in gens:
+                h = _compose(t[s[x]], _compose(s, u[x]))
+                if h != identity:
+                    yield h
 
     def block_system(self, block) -> BlockSystem:
         """The G-invariant partition generated by one block.
@@ -365,6 +395,27 @@ class PermutationGroup:
             raise ValueError("block orbit does not cover all points")
         number = {m: i for i, m in enumerate(sorted(sizes))}
         return BlockSystem(self.degree, tuple(number[m] for m in least))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x's class in a union-find forest, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> tuple[int, int] | None:
+    """Merge the classes of x and y.  The smaller root stays the root, so
+    roots are class minima.  Returns the (kept, merged) roots, or None when
+    x and y were already in one class."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return None
+    if rx > ry:
+        rx, ry = ry, rx
+    parent[ry] = rx
+    return rx, ry
 
 
 def orbit_of(seed, generators, act) -> set:

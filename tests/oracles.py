@@ -6,7 +6,9 @@ enumeration, minimal blocks by subset search, admissibility by a full range
 scan, flag-transitivity in two steps (point orbit, then blocks through
 a point), difference sets by subset search on element labels, GF(p^a)
 tables by schoolbook products of digit tuples, and projective spaces by a
-dot product per point pair.
+dot product per point pair.  The one exception, scan_is_primitive, calls the
+library's minimal_block for every point, to pin which witness
+is_primitive returns when it tests only some of them.
 """
 
 from __future__ import annotations
@@ -159,6 +161,23 @@ def brute_minimal_block(generators, degree, alpha, beta, elements=None):
             if ok:
                 return cand
     return frozenset(range(degree))
+
+
+def scan_is_primitive(G):
+    """is_primitive by minimal_block(0, beta) for every beta in ascending
+    order, developing the first smallest proper block found."""
+    if not G.is_transitive():
+        raise ValueError("primitivity requires a transitive group")
+    if G.degree == 1:
+        return True, None
+    best = None
+    for beta in range(1, G.degree):
+        blk = G.minimal_block(0, beta)
+        if len(blk) < G.degree and (best is None or len(blk) < len(best)):
+            best = blk
+    if best is None:
+        return True, None
+    return False, G.block_system(best)
 
 
 def flag_transitive_two_step(G, D) -> bool:

@@ -1,5 +1,6 @@
 import pytest
 
+from symdesign import elimination
 from symdesign.cli import main
 from symdesign.design import read_design_file
 from symdesign.perm import read_group_file
@@ -339,3 +340,21 @@ def test_determinism_byte_identical(capsys, tmp_path):
         _, out, _ = run(capsys, "eliminate", "--table", "all")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_eliminate_small_range_hard_bound(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(elimination, "factorize", refuse)
+    bound = str((2**61 - 1) * (2**89 - 1))
+    assert run(capsys, "eliminate", "--v", "100", "--bound", bound) == (0, "EMPTY\n", "")
+
+
+def test_group_primitive_regular_group(capsys, tmp_path):
+    # Z3 x Z3: every minimal block has size 3, and the first one found wins
+    path = tmp_path / "z3z3.grp"
+    path.write_text("degree 9\n(1,2,3)(4,5,6)(7,8,9)\n(1,4,7)(2,5,8)(3,6,9)\n")
+    assert run(capsys, "group", "primitive", str(path)) == (
+        0, "primitive: no (3x3 system)\n1,2,3\n4,5,6\n7,8,9\n", ""
+    )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from lemmas import check_bounds, check_division_identity
 from oracles import brute_admissible
 from symdesign.algebra import PrimePower, factorize, is_prime
+from symdesign import elimination
 from symdesign.elimination import (
     EXPECTED_PAIRS,
     EXTERNALLY_EXCLUDED,
@@ -151,6 +152,24 @@ def test_admissible_rejects_tiny_v():
 def test_admissible_accepts_factorization():
     pairs = admissible(11, factorize(60))
     assert len(pairs) == 2
+
+
+# (2^61 - 1)(2^89 - 1): a product of two large primes
+HARD_BOUND = (2**61 - 1) * (2**89 - 1)
+
+
+def test_admissible_small_range_needs_no_factorization(monkeypatch):
+    def refuse(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(elimination, "factorize", refuse)
+    assert admissible(100, HARD_BOUND) == []
+    # only the primes up to v - 2 = 9998 are divided out
+    assert admissible(10**4, 2**3 * 3 * 9973 * HARD_BOUND) == brute_admissible(
+        10**4, 2**3 * 3 * 9973
+    )
+    with pytest.raises(AssertionError, match="factorize called"):
+        admissible(10**4 + 2, HARD_BOUND)  # v - 2 reaches the limit
 
 
 def test_admissible_agrees_with_brute_scan():

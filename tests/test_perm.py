@@ -1,5 +1,6 @@
 import random
 import time
+from importlib import resources
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_elements, brute_group_order, brute_minimal_block
+from oracles import brute_elements, brute_group_order, brute_minimal_block, scan_is_primitive
 from symdesign.constructions import load_group
 from symdesign.perm import (
     Permutation,
@@ -256,6 +257,12 @@ def pgl2_generators(n):
     return [act(transvection), act(cycle)]
 
 
+def relabelled(gens, rng):
+    """The generators conjugated by one random relabelling of the points."""
+    relabel = Permutation(rng.sample(range(gens[0].degree), gens[0].degree))
+    return [relabel * g * relabel.inverse() for g in gens]
+
+
 def gl2_order(n):
     return prod(2**n - 2**i for i in range(n))
 
@@ -333,8 +340,7 @@ def is_even(g):
 
 def test_strip_depth_cut_relabelled_pgl_5_2():
     rng = random.Random(52)
-    relabel = Permutation(rng.sample(range(31), 31))
-    gens = [relabel * g * relabel.inverse() for g in pgl2_generators(5)]
+    gens = relabelled(pgl2_generators(5), rng)
     G = PermutationGroup(gens)
     members = [random_word(rng, gens) for _ in range(40)]
     # PGL(5,2) is simple, so it has only even permutations; a member times a
@@ -463,6 +469,146 @@ def test_is_primitive_prime_degree():
 def test_is_primitive_psu42():
     primitive, _ = load_group("psu4_2.grp").is_primitive()
     assert primitive
+
+
+def wreath_generators(a, b):
+    """S_a wr S_b on a*b points, point block*a + i: a transposition and an
+    a-cycle inside block 0, and a swap and a b-cycle of whole blocks."""
+
+    def perm(f):
+        return Permutation(f(x // a, x % a) for x in range(a * b))
+
+    return [
+        perm(lambda blk, i: blk * a + ((1 - i) if blk == 0 and i < 2 else i)),
+        perm(lambda blk, i: blk * a + ((i + 1) % a if blk == 0 else i)),
+        perm(lambda blk, i: (1 - blk if blk < 2 else blk) * a + i),
+        perm(lambda blk, i: (blk + 1) % b * a + i),
+    ]
+
+
+def assert_matches_scan(G):
+    primitive, system = G.is_primitive()
+    want_primitive, want_system = scan_is_primitive(G)
+    assert primitive == want_primitive
+    assert (system and system.class_of) == (want_system and want_system.class_of)
+    return primitive, system
+
+
+def scan_cases():
+    """Named groups whose is_primitive is checked against the full scan."""
+    rng = random.Random(12)
+    cases = {}
+    for n in range(3, 7):
+        cases[f"PGL{n}_2"] = PermutationGroup(relabelled(pgl2_generators(n), rng))
+    for a, b in ((2, 4), (3, 3), (4, 2)):
+        cases[f"S{a}wrS{b}"] = PermutationGroup(wreath_generators(a, b))
+    cases["Z12"] = parse_generators("(" + ",".join(map(str, range(1, 13))) + ")", 12)
+    cases["Z3xZ3"] = parse_generators("(1,2,3)(4,5,6)(7,8,9)\n(1,4,7)(2,5,8)(3,6,9)", 9)
+    cases["Z2xZ2xZ2"] = parse_generators(
+        "(1,2)(3,4)(5,6)(7,8)\n(1,3)(2,4)(5,7)(6,8)\n(1,5)(2,6)(3,7)(4,8)", 8
+    )
+    for entry in resources.files("symdesign.data").iterdir():
+        if entry.name.endswith(".grp"):
+            cases[entry.name] = load_group(entry.name)
+    return cases
+
+
+SCAN_CASES = scan_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_is_primitive_matches_every_beta_scan(name):
+    G = SCAN_CASES[name]
+    primitive, system = assert_matches_scan(G)
+    if "wr" in name:
+        assert not primitive and system.num_classes > 1
+    if name in ("Z3xZ3", "Z2xZ2xZ2"):
+        # every minimal block has the same size; the first beta's wins
+        assert system.classes()[0] == G.minimal_block(0, 1)
+
+
+@st.composite
+def transitive_groups(draw):
+    """A transitive group of degree <= 12 inside S_c wr S_d, d = degree / c,
+    relabelled: the blocks are the residue classes mod d.  One generator is
+    the degree-cycle x -> x + 1 unless the draw leaves it out and the other
+    generators are transitive alone."""
+    degree = draw(st.integers(1, 12))
+    d = draw(st.sampled_from([d for d in range(1, degree + 1) if degree % d == 0]))
+    c = degree // d
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        blocks = draw(st.permutations(range(d)))
+        inside = [draw(st.permutations(range(c))) for _ in range(d)]
+        # x = r + d*i lies in class r at place i
+        gens.append(Permutation(blocks[x % d] + d * inside[x % d][x // d] for x in range(degree)))
+    if draw(st.booleans()) or not PermutationGroup(gens, degree).is_transitive():
+        gens.append(Permutation((x + 1) % degree for x in range(degree)))
+    relabel = Permutation(draw(st.permutations(range(degree))))
+    return PermutationGroup([relabel * g * relabel.inverse() for g in gens], degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transitive_groups())
+def test_is_primitive_matches_every_beta_scan_random(G):
+    assert G.is_transitive()
+    assert_matches_scan(G)
+
+
+def count_minimal_block_calls(monkeypatch, G):
+    calls = []
+    minimal_block = PermutationGroup.minimal_block
+
+    def counted(self, alpha, beta):
+        calls.append(beta)
+        return minimal_block(self, alpha, beta)
+
+    monkeypatch.setattr(PermutationGroup, "minimal_block", counted)
+    answer = G.is_primitive()
+    monkeypatch.undo()
+    return answer, len(calls)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_is_primitive_tests_a_handful_of_points(monkeypatch, n):
+    # PGL(n, 2) is 2-transitive: one orbit of G_0 on the other 2^n - 2 points
+    (primitive, system), calls = count_minimal_block_calls(
+        monkeypatch, PermutationGroup(pgl2_generators(n))
+    )
+    assert primitive and system is None
+    assert calls < 10
+
+
+def test_is_primitive_degree_one_and_two():
+    assert PermutationGroup([], 1).is_primitive() == (True, None)
+    assert PermutationGroup([Permutation.identity(1)]).is_primitive() == (True, None)
+    assert parse_generators("(1,2)", 2).is_primitive() == (True, None)
+    assert parse_generators("()\n(1,2)", 2).is_primitive() == (True, None)
+
+
+def test_is_primitive_regular_groups(monkeypatch):
+    # a regular group's point stabilizer is trivial, so every Schreier
+    # generator is the identity and every beta is tested
+    Z13 = parse_generators("(" + ",".join(map(str, range(1, 14))) + ")", 13)
+    assert assert_matches_scan(Z13) == (True, None)
+    Z12 = parse_generators("(" + ",".join(map(str, range(1, 13))) + ")", 12)
+    primitive, system = assert_matches_scan(Z12)
+    assert not primitive and system.classes()[0] == {0, 6}
+    assert count_minimal_block_calls(monkeypatch, Z12)[1] == 11
+
+
+def test_is_primitive_identity_and_repeated_generators():
+    g = Permutation.from_cycles("(1,2,3,4,5,6)", 6)
+    for gens in ([Permutation.identity(6), g], [g, g], [g, Permutation.identity(6), g]):
+        primitive, system = assert_matches_scan(PermutationGroup(gens))
+        assert not primitive and system.classes()[0] == {0, 3}
+    G = PermutationGroup([Permutation.identity(31)] + pgl2_generators(5) * 2)
+    assert assert_matches_scan(G) == (True, None)
+
+
+def test_is_primitive_rejects_intransitive_group():
+    with pytest.raises(ValueError, match="primitivity requires a transitive group"):
+        parse_generators("(1,2,3)", 4).is_primitive()
 
 
 def test_block_system_rejects_non_block():
