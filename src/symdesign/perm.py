@@ -278,11 +278,29 @@ class PermutationGroup:
         return PermutationGroup([Permutation(g) for g in gens], self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
-        """Sorted orbit lengths of the stabilizer of point (G transitive)."""
+        """Sorted orbit lengths of the stabilizer of point (G transitive).
+
+        The Schreier generators of G_point generate it, so the classes of a
+        union-find over them are its orbits; no stabilizer chain is built.
+        A generator that maps every class into itself merges nothing and is
+        skipped.  Every generator fixes point, so once the classes are
+        {point} and the rest, no later one can change them.
+        """
         if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
-        stab = self.point_stabilizer(point)
-        return sorted(len(orb) for orb in stab.orbits())
+        if not 0 <= point < self.degree:
+            raise ValueError("point out of range")
+        parent = list(range(self.degree))
+        roots = tuple(range(self.degree))  # the least point of each class
+        for h in self._schreier_generators(point):
+            if _compose(roots, h) == roots:
+                continue
+            for x, y in enumerate(h):
+                _union(parent, x, y)
+            roots = tuple(_find(parent, x) for x in range(self.degree))
+            if len(set(roots)) == 2:
+                break
+        return sorted(Counter(roots).values())
 
     def _congruence(self, points) -> list[int]:
         """The finest G-invariant partition that has `points` in one class,

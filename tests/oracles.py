@@ -6,9 +6,12 @@ enumeration, minimal blocks by subset search, admissibility by a full range
 scan, flag-transitivity in two steps (point orbit, then blocks through
 a point), difference sets by subset search on element labels, GF(p^a)
 tables by schoolbook products of digit tuples, and projective spaces by a
-dot product per point pair.  The one exception, scan_is_primitive, calls the
-library's minimal_block for every point, to pin which witness
-is_primitive returns when it tests only some of them.
+dot product per point pair, and subdegrees by the orbits of the elements
+that fix the point.  Two exceptions call the library: scan_is_primitive calls
+its minimal_block for every point, to pin which witness is_primitive returns
+when it tests only some of them, and chain_subdegrees reads the orbits of the
+point stabilizer that the stabilizer chain gives, to check the subdegrees
+that come from Schreier generators without a chain.
 """
 
 from __future__ import annotations
@@ -178,6 +181,24 @@ def scan_is_primitive(G):
     if best is None:
         return True, None
     return False, G.block_system(best)
+
+
+def chain_subdegrees(G, point):
+    """Sorted orbit lengths of the chain's stabilizer of point (G transitive)."""
+    if not G.is_transitive():
+        raise ValueError("subdegrees require a transitive group")
+    stab = G.point_stabilizer(point)
+    return sorted(len(orb) for orb in stab.orbits())
+
+
+def brute_subdegrees(elements, point):
+    """Sorted orbit lengths of the stabilizer of point, where `elements` is
+    the whole group as image tuples (brute_elements): the orbit of x is
+    {g(x)} over the elements g that fix point."""
+    stabilizer = [g for g in elements if g[point] == point]
+    degree = len(stabilizer[0])
+    orbits = {frozenset(g[x] for g in stabilizer) for x in range(degree)}
+    return sorted(len(orb) for orb in orbits)
 
 
 def flag_transitive_two_step(G, D) -> bool:

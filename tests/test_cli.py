@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from symdesign import elimination
@@ -153,6 +155,12 @@ def test_group_query_needs_transitive(capsys, tmp_path, query):
     g_file = tmp_path / "g.grp"
     g_file.write_text("degree 4\n(1,2)\n")
     assert run(capsys, "group", query, str(g_file)) == (1, "group is not transitive\n", "")
+
+
+@pytest.mark.parametrize("name, line", [("sigma45.grp", "1 8 36\n"), ("psu4_2.grp", "1 12 32\n")])
+def test_group_subdegrees_vendored_at_point(capsys, name, line):
+    with resources.as_file(resources.files("symdesign.data") / name) as path:
+        assert run(capsys, "group", "subdegrees", str(path), "--point", "5") == (0, line, "")
 
 
 def test_group_point_out_of_range(capsys, tmp_path):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_elements, brute_group_order, brute_minimal_block, scan_is_primitive
+from oracles import (
+    brute_elements,
+    brute_group_order,
+    brute_minimal_block,
+    brute_subdegrees,
+    chain_subdegrees,
+    scan_is_primitive,
+)
 from symdesign.constructions import load_group
 from symdesign.perm import (
     Permutation,
@@ -375,15 +382,67 @@ def test_subdegrees_psl2_11():
 
 def test_subdegrees_sigma():
     G = load_group("sigma45.grp")
-    sub = G.subdegrees(0)
-    assert sum(sub) == 45
-    assert sub[0] == 1
+    for p in range(G.degree):
+        assert G.subdegrees(p) == [1, 8, 36]
+
+
+def test_subdegrees_psu42():
+    G = load_group("psu4_2.grp")
+    for p in range(G.degree):
+        assert G.subdegrees(p) == [1, 12, 32]
 
 
 def test_subdegrees_requires_transitive():
     G = parse_generators("(1,2)", 4)
     with pytest.raises(ValueError):
         G.subdegrees(0)
+
+
+def test_subdegrees_rejects_point_out_of_range():
+    G = parse_generators("(1,2,3,4,5)", 5)
+    for point in (-1, 5):
+        with pytest.raises(ValueError, match="point out of range"):
+            G.subdegrees(point)
+    # transitivity is checked first
+    for point in (0, -1, 4):
+        with pytest.raises(ValueError, match="subdegrees require a transitive group"):
+            parse_generators("(1,2)", 4).subdegrees(point)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_subdegrees_build_no_chain(n):
+    # the chain of PGL(9, 2) takes seconds; a few Schreier generators of G_0
+    # already leave two classes, {0} and the rest
+    G = PermutationGroup(pgl2_generators(n))
+    assert G.subdegrees(0) == [1, 2**n - 2]
+    assert G._chains == {}
+
+
+def test_subdegrees_degree_one_and_two():
+    assert PermutationGroup([], 1).subdegrees(0) == [1]
+    assert PermutationGroup([Permutation.identity(1)]).subdegrees(0) == [1]
+    G = parse_generators("(1,2)", 2)
+    assert G.subdegrees(0) == G.subdegrees(1) == [1, 1]
+
+
+def test_subdegrees_regular_group():
+    # every Schreier generator of a regular group is the identity
+    Z13 = parse_generators("(" + ",".join(map(str, range(1, 14))) + ")", 13)
+    for p in range(13):
+        assert Z13.subdegrees(p) == [1] * 13
+
+
+def test_subdegrees_identity_and_repeated_generators():
+    g = Permutation.from_cycles("(1,2,3,4,5,6)", 6)
+    r = Permutation.from_cycles("(2,6)(3,5)", 6)
+    for gens in ([Permutation.identity(6), g], [g, g], [g, Permutation.identity(6), g]):
+        assert PermutationGroup(gens).subdegrees(2) == [1, 1, 1, 1, 1, 1]
+    for gens in ([g, r, r], [r, Permutation.identity(6), g, g]):
+        G = PermutationGroup(gens)  # the dihedral group of order 12
+        for p in range(6):
+            assert G.subdegrees(p) == [1, 1, 2, 2] == chain_subdegrees(G, p)
+    G = PermutationGroup([Permutation.identity(31)] + pgl2_generators(5) * 2)
+    assert G.subdegrees(7) == [1, 30]
 
 
 def test_minimal_block_sigma_exact():
@@ -553,6 +612,32 @@ def transitive_groups(draw):
 def test_is_primitive_matches_every_beta_scan_random(G):
     assert G.is_transitive()
     assert_matches_scan(G)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_subdegrees_match_chain(name):
+    G = SCAN_CASES[name]
+    for p in range(G.degree):
+        assert G.subdegrees(p) == chain_subdegrees(G, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transitive_groups())
+def test_subdegrees_match_chain_random(G):
+    for p in range(G.degree):
+        assert G.subdegrees(p) == chain_subdegrees(G, p)
+
+
+def test_subdegrees_vs_brute_closure():
+    # the random groups are 2-transitive or regular; the wreath products and
+    # the abelian groups of SCAN_CASES add ranks from 3 to 12
+    groups = [G for G in random_small_groups() if G.is_transitive()]
+    assert len(groups) == 9  # of the 25, so the check is not vacuous
+    groups += [SCAN_CASES[name] for name in ("S2wrS4", "S3wrS3", "S4wrS2", "Z12", "Z3xZ3")]
+    for G in groups:
+        elements = brute_elements([g.images for g in G.generators], G.degree)
+        for p in range(G.degree):
+            assert G.subdegrees(p) == brute_subdegrees(elements, p) == chain_subdegrees(G, p)
 
 
 def count_minimal_block_calls(monkeypatch, G):
