@@ -8,6 +8,7 @@ Machine-readable report lines are prefixed with #R.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import algebra, constructions, design, elimination, perm
@@ -68,15 +69,21 @@ def _cmd_construct(args) -> int:
         return 1
     print(f"{label}: ({params.v},{params.k},{params.lam})")
     if args.output:
-        design.write_design_file(args.output, D)
-        print(f"wrote {args.output}")
+        _write(design.write_design_file, args.output, D)
     if args.group_out:
         if group is None:
             print("no group available for this construction")
             return 1
-        perm.write_group_file(args.group_out, group)
-        print(f"wrote {args.group_out}")
+        _write(perm.write_group_file, args.group_out, group)
     return 0
+
+
+def _write(writer, path, obj) -> None:
+    try:
+        writer(path, obj)
+    except OSError as exc:
+        raise SystemExit2(f"{path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
 
 
 def _verified(D: design.IncidenceStructure):
@@ -213,7 +220,10 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls;
+    `parse_args` gives each call a fresh namespace."""
     p = argparse.ArgumentParser(prog="symdesign")
     sub = p.add_subparsers(dest="verb", required=True)
 

@@ -48,7 +48,7 @@ class IncidenceStructure:
             fb = frozenset(blk)
             if not fb:
                 raise ValueError("empty block")
-            if any(not 0 <= pt < v for pt in fb):
+            if min(fb) < 0 or max(fb) >= v:
                 raise ValueError("block point out of range")
             position.setdefault(fb, len(norm))
             norm.append(fb)
@@ -159,20 +159,26 @@ def read_design_file(path) -> IncidenceStructure:
     with open(path) as fh:
         v = parse_header(fh.readline(), "v", path)
         blocks = []
+        point: dict[str, int] = {}  # field text -> its 0-based point, once a line held it
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
             try:
-                block = frozenset([int(f) - 1 for f in fields])
-                if min(block) < 0 or max(block) >= v:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad block {line!r}:"
-                    f" points must be integers in 1..{v}"
-                ) from None
+                block = frozenset(map(point.__getitem__, fields))
+            except KeyError:
+                try:
+                    pts = [int(f) - 1 for f in fields]
+                    if min(pts) < 0 or max(pts) >= v:
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: bad block {line!r}:"
+                        f" points must be integers in 1..{v}"
+                    ) from None
+                point.update(zip(fields, pts))
+                block = frozenset(pts)
             if len(block) != len(fields):
                 pts = [int(f) for f in fields]
                 repeat = next(pt for i, pt in enumerate(pts) if pt in pts[:i])
@@ -184,7 +190,8 @@ def read_design_file(path) -> IncidenceStructure:
 
 
 def write_design_file(path, D: IncidenceStructure) -> None:
+    # labels only for the points in use, so a sparse structure on a huge v stays cheap
+    label = {pt: str(pt + 1) for pt in frozenset().union(*D.blocks)}
+    lines = [",".join(map(label.__getitem__, blk)) for blk in D.blocks_sorted()]
     with open(path, "w") as fh:
-        fh.write(f"v {D.v}\n")
-        for blk in D.blocks_sorted():
-            fh.write(",".join(str(pt + 1) for pt in blk) + "\n")
+        fh.write("\n".join([f"v {D.v}", *lines, ""]))

@@ -1,17 +1,18 @@
 """Independent brute-force oracles the library is checked against.
 
 These deliberately avoid the library's own algorithms: primality by sieve,
-design verification by direct pair counting, group order by closure
-enumeration, minimal blocks by subset search, admissibility by a full range
-scan, flag-transitivity in two steps (point orbit, then blocks through
-a point), difference sets by subset search on element labels, GF(p^a)
-tables by schoolbook products of digit tuples, and projective spaces by a
-dot product per point pair, and subdegrees by the orbits of the elements
-that fix the point.  Two exceptions call the library: scan_is_primitive calls
-its minimal_block for every point, to pin which witness is_primitive returns
-when it tests only some of them, and chain_subdegrees reads the orbits of the
-point stabilizer that the stabilizer chain gives, to check the subdegrees
-that come from Schreier generators without a chain.
+design verification and the first bad point pair by direct pair counting,
+group order by closure enumeration, minimal blocks by subset search,
+admissibility by a full range scan, flag-transitivity in two steps (point
+orbit, then blocks through a point), difference sets by subset search on
+element labels, GF(p^a) tables by schoolbook products of digit tuples, and
+projective spaces by a dot product per point pair, and subdegrees by the
+orbits of the elements that fix the point.  Two exceptions call the library:
+scan_is_primitive calls its minimal_block for every point, to pin which
+witness is_primitive returns when it tests only some of them, and
+chain_subdegrees reads the orbits of the point stabilizer that the
+stabilizer chain gives, to check the subdegrees that come from Schreier
+generators without a chain.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def brute_verify_symmetric(v, blocks):
         if len(b1 & b2) != lam:
             return None
     return (v, k, lam)
+
+
+def brute_first_bad_pair(v, blocks, lam):
+    """The first point pair, in combinations(range(v), 2) order, that does not
+    lie on exactly lam blocks, with its count; None when every pair does."""
+    for p1, p2 in combinations(range(v), 2):
+        count = sum(1 for b in blocks if p1 in b and p2 in b)
+        if count != lam:
+            return p1, p2, count
+    return None
 
 
 def brute_difference_set(ambient, k, lam):

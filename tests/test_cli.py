@@ -1,9 +1,10 @@
+import time
 from importlib import resources
 
 import pytest
 
 from symdesign import elimination
-from symdesign.cli import main
+from symdesign.cli import build_parser, main
 from symdesign.design import read_design_file
 from symdesign.perm import read_group_file
 
@@ -112,6 +113,50 @@ def test_construct_group_out_unavailable(capsys, tmp_path):
     assert "no group available" in out
 
 
+@pytest.mark.parametrize("flag", ["-o", "--group-out"])
+def test_construct_unwritable_output(capsys, tmp_path, flag):
+    # the parameter line is already out when the write fails; the exit is a usage error
+    path = tmp_path / "missing" / "x"
+    assert run(capsys, "construct", "fano_complement", flag, str(path)) == (
+        2, "fano_complement: (7,4,2)\n", f"error: {path}: No such file or directory\n"
+    )
+
+
+def test_construct_unwritable_group_after_design(capsys, tmp_path):
+    d_file, g_file = tmp_path / "d.design", tmp_path / "missing" / "g.grp"
+    assert run(capsys, "construct", "fano_complement", "-o", str(d_file),
+               "--group-out", str(g_file)) == (
+        2, f"fano_complement: (7,4,2)\nwrote {d_file}\n",
+        f"error: {g_file}: No such file or directory\n",
+    )
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    build_parser.cache_clear()
+    parsed = [build_parser().parse_args(argv) for argv in (
+        ["group", "subdegrees", "g.grp", "--point", "2"], ["group", "subdegrees", "g.grp"],
+        ["construct", "fano_complement", "-o", "f"], ["construct", "fano_complement"],
+    )]
+    assert [parsed[0].point, parsed[1].point] == [2, 1]
+    assert [parsed[2].output, parsed[3].output] == ["f", None]
+    # the subdegrees of a transitive group are the same at every point, so an
+    # out-of-range point is what shows a --point left over from the call before
+    with resources.as_file(resources.files("symdesign.data") / "sigma45.grp") as g_file:
+        at_1 = (0, "1 8 36\n", "")
+        assert run(capsys, "group", "subdegrees", str(g_file), "--point", "2") == at_1
+        assert run(capsys, "group", "subdegrees", str(g_file)) == at_1
+        assert run(capsys, "group", "subdegrees", str(g_file), "--point", "46") == (
+            2, "", "error: --point must be in 1..45\n"
+        )
+        assert run(capsys, "group", "subdegrees", str(g_file)) == at_1
+    d_file = tmp_path / "f.design"
+    assert run(capsys, "construct", "fano_complement", "-o", str(d_file)) == (
+        0, f"fano_complement: (7,4,2)\nwrote {d_file}\n", ""
+    )
+    assert run(capsys, "construct", "fano_complement") == (0, "fano_complement: (7,4,2)\n", "")
+    assert build_parser.cache_info().misses == 1
+
+
 def test_verify_round_trip(capsys, tmp_path):
     d_file = tmp_path / "d.design"
     run(capsys, "construct", "paley_11_5_2", "-o", str(d_file))
@@ -207,14 +252,57 @@ def test_verify_bad_design_header(capsys, tmp_path, v):
     assert f"error: {d_file}: bad header 'v {v}'" in err
 
 
-@pytest.mark.parametrize("block", ["2,x", "0,1", "1,8"])
-def test_verify_bad_block_entry(capsys, tmp_path, block):
+NOT_A_POINT = "points must be integers in 1..7"
+
+
+@pytest.mark.parametrize(
+    "block, reason",
+    [
+        pytest.param("2,x", NOT_A_POINT, id="2,x"),
+        pytest.param("0,1", NOT_A_POINT, id="0,1"),
+        pytest.param("1,8", NOT_A_POINT, id="1,8"),
+        pytest.param("1,,2", NOT_A_POINT, id="1,,2"),
+        # the second line holds point 1 as "1", so "01" must not pass as a new point
+        pytest.param("1,01", "repeated point 1", id="1,01"),
+    ],
+)
+def test_verify_bad_block_entry(capsys, tmp_path, block, reason):
     d_file = tmp_path / "bad.design"
     d_file.write_text(f"v 7\n1,2,4\n{block}\n")
     code, out, err = run(capsys, "verify", str(d_file))
-    assert code == 2
-    assert out == ""
-    assert f"error: {d_file}: line 3: bad block '{block}'" in err
+    assert (code, out, err) == (2, "", f"error: {d_file}: line 3: bad block '{block}': {reason}\n")
+
+
+# the Fano plane, point 2 in the middle of its three lines so that
+# stripping a line does not touch the spelling under test
+FANO_2_INSIDE = ["1,2,4", "3,2,5", "6,2,7", "3,4,6", "4,5,7", "5,6,1", "7,1,3"]
+
+
+@pytest.mark.parametrize("spelling", [" 2", "02", "+2", "2 "])
+@pytest.mark.parametrize("respelled_lines", [(0,), (2,), (0, 1, 2)], ids=["first", "last", "all"])
+def test_verify_point_spellings_read_as_int(capsys, tmp_path, spelling, respelled_lines):
+    # a point is whatever int() reads in 1..v, whether the plain spelling
+    # comes before the other one in the file, after it, or not at all
+    plain, respelled = tmp_path / "plain.design", tmp_path / "respelled.design"
+    plain.write_text("v 7\n" + "\n".join(FANO_2_INSIDE) + "\n")
+    lines = [
+        line.replace(",2,", f",{spelling},") if i in respelled_lines else line
+        for i, line in enumerate(FANO_2_INSIDE)
+    ]
+    respelled.write_text("v 7\n" + "\n".join(lines) + "\n")
+    assert read_design_file(respelled) == read_design_file(plain)
+    assert run(capsys, "verify", str(respelled)) == (0, "symmetric (7,3,1)\n", "")
+
+
+def test_verify_huge_v_header_is_not_a_table_size(capsys, tmp_path):
+    d_file = tmp_path / "huge.design"
+    d_file.write_text("v 1000000000\n1,2,1000000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(d_file))
+    assert (code, out, err) == (
+        1, "not a symmetric design [block_count]: 1 blocks for 1000000000 points\n", ""
+    )
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_block_with_repeated_point(capsys, tmp_path):

@@ -1,8 +1,10 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from oracles import brute_verify_symmetric, flag_transitive_two_step
+from oracles import brute_first_bad_pair, brute_verify_symmetric, flag_transitive_two_step
 from symdesign.constructions import catalog, load_group, projective_space
 from symdesign.design import (
     DesignError,
@@ -62,6 +64,59 @@ def test_verify_rejects_pair_count_with_witness():
     assert exc.value.code == "pair_count"
     # the message names a concrete 1-based witness pair
     assert any(ch.isdigit() for ch in str(exc.value))
+
+
+def _pair_count_message(v, blocks):
+    """The pair_count message for v distinct blocks of one size, from a direct
+    scan; None when every pair lies on the same number of blocks."""
+    k = len(blocks[0])
+    lam = k * (k - 1) // (v - 1) if k * (k - 1) % (v - 1) == 0 else None
+    bad = brute_first_bad_pair(v, [set(b) for b in blocks], lam)
+    if bad is None:
+        return None
+    x, y, count = bad
+    expected = f", expected {lam}" if lam is not None else ""
+    return f"point pair {x + 1},{y + 1} lies on {count} blocks{expected}"
+
+
+def _verify_message(v, blocks):
+    try:
+        IncidenceStructure(v, blocks).verify_symmetric()
+    except DesignError as exc:
+        assert exc.code == "pair_count"
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pair_count_names_first_bad_pair_on_corrupted_pg(n):
+    # one point of one hyperplane of PG(n-1,2) moved off it
+    rng = random.Random(n)
+    blocks = [sorted(b) for b in projective_space(n, 2).blocks]
+    v = len(blocks)
+    for _ in range(20):
+        moved = [list(b) for b in blocks]
+        blk = rng.choice(moved)
+        blk[rng.randrange(len(blk))] = rng.choice([x for x in range(v) if x not in blk])
+        expected = _pair_count_message(v, moved)
+        assert expected is not None and "expected" in expected
+        assert _verify_message(v, moved) == expected
+
+
+def test_pair_count_names_first_bad_pair_on_random_structures():
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(300):
+        v = rng.randrange(3, 11)
+        k = rng.randrange(2, v)
+        blocks = set()
+        while len(blocks) < v:
+            blocks.add(tuple(sorted(rng.sample(range(v), k))))
+        blocks = list(blocks)
+        expected = _pair_count_message(v, blocks)
+        assert _verify_message(v, blocks) == expected
+        seen.add(None if expected is None else "expected" in expected)
+    assert seen == {None, True, False}
 
 
 def test_verify_rejects_irregular_pair_coverage():
@@ -267,6 +322,23 @@ def test_design_file_round_trip(tmp_path):
     # byte-identical on rewrite (deterministic output)
     write_design_file(tmp_path / "d2.design", E)
     assert (tmp_path / "d2.design").read_bytes() == path.read_bytes()
+
+
+def test_design_file_sparse_points_on_large_v(tmp_path):
+    # labels are made for the points in use: a table sized by v would take
+    # tens of megabytes here
+    D = IncidenceStructure(10**6, [(0,), (10**6 - 1, 4)])
+    path = tmp_path / "sparse.design"
+    tracemalloc.start()
+    try:
+        write_design_file(path, D)
+        E = read_design_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == "v 1000000\n1\n5,1000000\n"
+    assert E == D
+    assert peak < 10**6
 
 
 def test_design_file_bad_header(tmp_path):
