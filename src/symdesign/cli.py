@@ -211,7 +211,8 @@ def _cmd_selftest(args) -> int:
     if not target.exists():
         print("acceptance tests not found; run pytest from the source tree")
         return 1
-    return pytest.main(["-v", "-s", str(target)])
+    # pytest's codes 2-5 are failures here, not this program's usage error (2)
+    return 0 if pytest.main(["-v", "-s", str(target)]) == 0 else 1
 
 
 class SystemExit2(SystemExit):

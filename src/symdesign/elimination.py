@@ -11,15 +11,11 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import (
-    _SMALL_PRIME_LIMIT,
-    Factorization,
-    PrimePower,
-    _small_primes,
-    divisors,
-    factorize,
-    is_prime,
-)
+from .algebra import Factorization, PrimePower, divisors, factorize, is_prime
+
+# a k range 3..hi shorter than this is scanned by testing each k, so a
+# k_bound that is hard to factorize costs nothing when v is small
+_TRIAL_RANGE = 10_000
 
 FAMILIES = ("PSL", "PSU", "PSp", "OmegaOdd", "POmegaPlus", "POmegaMinus")
 
@@ -126,12 +122,12 @@ def admissible(v, k_bound, required_lambda=None):
     if hi < 3:
         return pairs
     if isinstance(k_bound, Factorization):
-        f = k_bound
-    elif hi < _SMALL_PRIME_LIMIT:
-        f = _factors_up_to(k_bound, hi)
+        candidates = divisors(k_bound, 3, hi)
+    elif hi < _TRIAL_RANGE:
+        candidates = (k for k in range(3, hi + 1) if k_bound % k == 0)
     else:
-        f = factorize(k_bound)
-    for k in divisors(f, 3, hi):
+        candidates = divisors(factorize(k_bound), 3, hi)
+    for k in candidates:
         if k * (k - 1) % (v - 1):
             continue
         lam = k * (k - 1) // (v - 1)
@@ -143,30 +139,6 @@ def admissible(v, k_bound, required_lambda=None):
             continue
         pairs.append(AdmissiblePair(k, lam))
     return pairs
-
-
-def _factors_up_to(n: int, hi: int) -> Factorization:
-    """The part of n made of primes at most hi (hi below 10**4), by trial
-    division.  Every divisor of n up to hi divides it, since no prime above
-    hi divides such a divisor; the cofactor is never factored."""
-    value = n
-    factors = []
-    for p in _small_primes():
-        if p > hi or p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-    # a stop at p * p > n leaves n prime or 1; a stop at p > hi leaves no
-    # prime factor up to hi, so n > hi unless it is 1
-    if n > hi:
-        value //= n
-    elif n > 1:
-        factors.append((n, 1))
-    return Factorization(value, tuple(factors))
 
 
 def corollary_families(lam: int):

@@ -252,12 +252,14 @@ class PermutationGroup:
         return frozenset(orbit_of(point, images, tuple.__getitem__))
 
     def orbits(self) -> list[frozenset[int]]:
+        """The orbits, in the order of their least points."""
         out = []
-        remaining = set(range(self.degree))
-        while remaining:
-            orb = self.orbit(min(remaining))
-            out.append(orb)
-            remaining -= orb
+        seen: set[int] = set()
+        for pt in range(self.degree):
+            if pt not in seen:
+                orb = self.orbit(pt)
+                out.append(orb)
+                seen |= orb
         return out
 
     def order(self) -> int:
@@ -278,7 +280,16 @@ class PermutationGroup:
         return PermutationGroup([Permutation(g) for g in gens], self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
-        """Sorted orbit lengths of the stabilizer of point (G transitive).
+        """Sorted orbit lengths of the stabilizer of point (G transitive)."""
+        if not self.is_transitive():
+            raise ValueError("subdegrees require a transitive group")
+        if not 0 <= point < self.degree:
+            raise ValueError("point out of range")
+        return sorted(Counter(self._suborbits(point)).values())
+
+    def _suborbits(self, point: int) -> tuple[int, ...]:
+        """The orbits of the stabilizer of point, as the least point of
+        each point's orbit.
 
         The Schreier generators of G_point generate it, so the classes of a
         union-find over them are its orbits; no stabilizer chain is built.
@@ -286,12 +297,8 @@ class PermutationGroup:
         skipped.  Every generator fixes point, so once the classes are
         {point} and the rest, no later one can change them.
         """
-        if not self.is_transitive():
-            raise ValueError("subdegrees require a transitive group")
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
         parent = list(range(self.degree))
-        roots = tuple(range(self.degree))  # the least point of each class
+        roots = tuple(range(self.degree))
         for h in self._schreier_generators(point):
             if _compose(roots, h) == roots:
                 continue
@@ -300,7 +307,7 @@ class PermutationGroup:
             roots = tuple(_find(parent, x) for x in range(self.degree))
             if len(set(roots)) == 2:
                 break
-        return sorted(Counter(roots).values())
+        return roots
 
     def _congruence(self, points) -> list[int]:
         """The finest G-invariant partition that has `points` in one class,
@@ -341,29 +348,16 @@ class PermutationGroup:
         Scans minimal_block(0, beta) in ascending beta (valid by
         transitivity) and develops the first smallest proper block found
         into its partition.  An element h of the stabilizer G_0 carries the
-        minimal block of {0, beta} onto that of {0, h(beta)}, so one beta
-        per orbit of G_0 suffices, and the least point of each orbit gives
-        the same first smallest block.  The scan skips every beta that is
-        not the least of its orbit under the Schreier generators of G_0
-        absorbed so far, one more absorbed after each minimal_block call;
-        their orbits refine those of G_0, so the answer does not depend on
-        how many are absorbed.
+        minimal block of {0, beta} onto that of {0, h(beta)}, so the least
+        point of each orbit of G_0 gives the same first smallest block.
         """
         if not self.is_transitive():
             raise ValueError("primitivity requires a transitive group")
-        if self.degree == 1:
-            return True, None
-        stabilizer = self._schreier_generators(0)
-        parent = list(range(self.degree))
         best: frozenset[int] | None = None
-        for beta in range(1, self.degree):
-            if parent[beta] != beta:  # roots are class minima
-                continue
+        for beta in sorted(set(self._suborbits(0)) - {0}):
             blk = self.minimal_block(0, beta)
             if len(blk) < self.degree and (best is None or len(blk) < len(best)):
                 best = blk
-            for x, y in enumerate(next(stabilizer, ())):
-                _union(parent, x, y)
         if best is None:
             return True, None
         return False, self.block_system(best)

@@ -454,3 +454,17 @@ def test_group_primitive_regular_group(capsys, tmp_path):
     assert run(capsys, "group", "primitive", str(path)) == (
         0, "primitive: no (3x3 system)\n1,2,3\n4,5,6\n7,8,9\n", ""
     )
+
+
+@pytest.mark.parametrize("pytest_code, code", [(0, 0), (1, 1), (5, 1)])
+def test_selftest_exit_codes_stay_in_contract(monkeypatch, pytest_code, code):
+    # pytest's codes 2-5 must not leak out, where 2 reads as a usage error
+    seen = []
+
+    def fake_main(args):
+        seen.append(args)
+        return pytest_code
+
+    monkeypatch.setattr(pytest, "main", fake_main)
+    assert main(["selftest"]) == code
+    assert len(seen) == 1 and seen[0][-1].endswith("tests/test_acceptance.py")

@@ -237,6 +237,21 @@ def test_schreier_sims_vs_brute_closure():
         check_chain_against_brute(G)
 
 
+def test_orbits_vs_brute_closure():
+    for G in random_small_groups():
+        elements = brute_elements([g.images for g in G.generators], G.degree)
+        want = {frozenset(g[x] for g in elements) for x in range(G.degree)}
+        assert G.orbits() == sorted(want, key=min)
+
+
+def test_orbits_linear_in_degree():
+    G = parse_generators("(1,2)", 20_000)
+    start = time.perf_counter()
+    orbits = G.orbits()
+    assert time.perf_counter() - start < 1.0
+    assert orbits[0] == {0, 1} and orbits[1:] == [{x} for x in range(2, 20_000)]
+
+
 def test_deep_chain_symmetric_30():
     # a 30-level chain: every base point has a full orbit
     G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
@@ -661,7 +676,14 @@ def test_is_primitive_tests_a_handful_of_points(monkeypatch, n):
         monkeypatch, PermutationGroup(pgl2_generators(n))
     )
     assert primitive and system is None
-    assert calls < 10
+    assert calls == 1
+
+
+@pytest.mark.parametrize("name", ["sigma45.grp", "psu4_2.grp"])
+def test_is_primitive_tests_one_point_per_suborbit(monkeypatch, name):
+    # rank 3: two nontrivial orbits of G_0, so two calls
+    G = load_group(name)
+    assert count_minimal_block_calls(monkeypatch, G)[1] == 2
 
 
 def test_is_primitive_degree_one_and_two():
