@@ -8,7 +8,6 @@ used so callers can flag probabilistic answers.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -219,28 +218,13 @@ def factorize(n: int) -> Factorization:
     return Factorization(value, tuple(sorted(counts.items())))
 
 
-def divisors(f: Factorization, lo: int = 1, hi: int | None = None):
-    """All divisors d of f.value with lo <= d <= hi, ascending, each once.
-
-    Only the divisors up to hi are built: a partial product above hi is
-    dropped as it appears, since every multiple of it is above hi too.
-    """
-    if hi is None:
-        hi = f.value
-    if lo > hi:
-        raise ValueError("empty range: lo > hi")
-    divs = [1] if hi >= 1 else []
+def divisors(f: Factorization):
+    """All divisors of f.value, ascending, each once."""
+    divs = [1]
     for p, e in f.factors:
-        grown = []
-        for d in divs:
-            for _ in range(e):
-                d *= p
-                if d > hi:
-                    break
-                grown.append(d)
-        divs += grown
+        divs += [d * p**i for d in divs for i in range(1, e + 1)]
     divs.sort()
-    yield from divs[bisect.bisect_left(divs, lo):]
+    yield from divs
 
 
 @dataclass(frozen=True)

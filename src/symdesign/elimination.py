@@ -13,10 +13,6 @@ from importlib import resources
 
 from .algebra import Factorization, PrimePower, divisors, factorize, is_prime
 
-# a k range 3..hi shorter than this is scanned by testing each k, so a
-# k_bound that is hard to factorize costs nothing when v is small
-_TRIAL_RANGE = 10_000
-
 FAMILIES = ("PSL", "PSU", "PSp", "OmegaOdd", "POmegaPlus", "POmegaMinus")
 
 
@@ -111,6 +107,12 @@ def admissible(v, k_bound, required_lambda=None):
     Constraints: 2 < k < v-1; (v-1) | k(k-1); lambda = k(k-1)/(v-1) prime;
     lambda*v < k^2; lambda equals required_lambda when given.  Returns the
     admissible (k, lambda) pairs in increasing k.
+
+    k_bound itself is never factorized.  Since gcd(k, k-1) = 1, each prime
+    power exactly dividing v-1 divides k or k-1, so a = gcd(v-1, k) is a
+    unitary divisor of v-1 (coprime to b = (v-1)/a) that divides
+    g = gcd(v-1, k_bound).  By the CRT, k = 0 (mod a) and k = 1 (mod b) fix
+    k modulo v-1, so each such a gives at most one k in 3..v-2.
     """
     if v < 4:
         raise ValueError("admissible needs v >= 4")
@@ -118,17 +120,15 @@ def admissible(v, k_bound, required_lambda=None):
     if value < 1:
         raise ValueError("admissible needs k_bound >= 1")
     pairs = []
-    hi = min(value, v - 2)
-    if hi < 3:
+    g = math.gcd(v - 1, value)
+    if g == 1:
         return pairs
-    if isinstance(k_bound, Factorization):
-        candidates = divisors(k_bound, 3, hi)
-    elif hi < _TRIAL_RANGE:
-        candidates = (k for k in range(3, hi + 1) if k_bound % k == 0)
-    else:
-        candidates = divisors(factorize(k_bound), 3, hi)
-    for k in candidates:
-        if k * (k - 1) % (v - 1):
+    for a in divisors(factorize(g)):
+        b = (v - 1) // a
+        if math.gcd(a, b) != 1:
+            continue
+        k = a * pow(a, -1, b)
+        if k < 3 or value % k:
             continue
         lam = k * (k - 1) // (v - 1)
         if required_lambda is not None and lam != required_lambda:
@@ -138,7 +138,7 @@ def admissible(v, k_bound, required_lambda=None):
         if not is_prime(lam):
             continue
         pairs.append(AdmissiblePair(k, lam))
-    return pairs
+    return sorted(pairs, key=lambda pair: pair.k)
 
 
 def corollary_families(lam: int):

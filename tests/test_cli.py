@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from symdesign import elimination
+from symdesign.algebra import factorize
 from symdesign.cli import build_parser, main
 from symdesign.design import read_design_file
 from symdesign.perm import read_group_file
@@ -439,12 +440,18 @@ def test_determinism_byte_identical(capsys, tmp_path):
 
 
 def test_eliminate_small_range_hard_bound(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError("factorize called")
-
-    monkeypatch.setattr(elimination, "factorize", refuse)
+    # only gcd(v - 1, bound), a divisor of v - 1, may reach factorize
     bound = str((2**61 - 1) * (2**89 - 1))
-    assert run(capsys, "eliminate", "--v", "100", "--bound", bound) == (0, "EMPTY\n", "")
+    for v in (100, 1000003):
+        def refuse(m, n=v - 1):
+            if n % m:
+                raise AssertionError(f"factorize({m}) called")
+            return factorize(m)
+
+        monkeypatch.setattr(elimination, "factorize", refuse)
+        assert run(capsys, "eliminate", "--v", str(v), "--bound", bound) == (
+            0, "EMPTY\n", ""
+        )
 
 
 def test_group_primitive_regular_group(capsys, tmp_path):

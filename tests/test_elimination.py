@@ -149,48 +149,72 @@ def test_admissible_rejects_tiny_v():
         admissible(3, 6)
 
 
+# v - 1 and k_bound share many small primes, so the scan meets 2^m unitary
+# divisors of gcd(v - 1, k_bound); planted rows (lam^2(lam + 2), lam(lam + 1)c)
+# carry k = lam(lam + 1)
+MANY_PRIMES = 2**5 * 3**4 * 5**2 * 7 * 11 * 13 * 17
+AGREEMENT_CASES = [
+    (7, 24, None),
+    (11, 60, None),
+    (45, 1152, None),
+    (891, 446 * 223, None),
+    (325, 360, 5),
+    (7381, 3960, 11),
+    (41905, 14688, 17),
+    (28431, 645120, None),
+    (3838185, 15482880, None),
+    (3159, 2903040, None),
+    (22113, 415720, None),
+    (2401, 2400, None),
+    (1001, 5040, None),
+    (11, 1, None),
+    (11, 2, None),
+    (30031, MANY_PRIMES, None),
+    (360361, MANY_PRIMES, None),
+    (510511, MANY_PRIMES, None),
+    (510511, MANY_PRIMES, 2),
+    (7**2 * 9, 7 * 8 * 3 * 5 * 11, None),
+    (13**2 * 15, 13 * 14 * 2 * 3**2, 13),
+]
+
+
 def test_admissible_accepts_factorization():
     pairs = admissible(11, factorize(60))
     assert len(pairs) == 2
+    for v, bound, lam in AGREEMENT_CASES:
+        if bound == 1:  # factorize needs n >= 2
+            continue
+        assert admissible(v, factorize(bound), lam) == admissible(v, bound, lam)
 
 
 # (2^61 - 1)(2^89 - 1): a product of two large primes
 HARD_BOUND = (2**61 - 1) * (2**89 - 1)
 
 
-def test_admissible_small_range_needs_no_factorization(monkeypatch):
-    def refuse(n):
-        raise AssertionError("factorize called")
+def refuse_unless_divides(monkeypatch, n):
+    """Stub factorize so that it raises unless its argument divides n."""
 
-    monkeypatch.setattr(elimination, "factorize", refuse)
-    assert admissible(100, HARD_BOUND) == []
-    # only the primes up to v - 2 = 9998 are divided out
+    def stub(m):
+        if n % m:
+            raise AssertionError(f"factorize({m}) called")
+        return factorize(m)
+
+    monkeypatch.setattr(elimination, "factorize", stub)
+
+
+def test_admissible_small_range_needs_no_factorization(monkeypatch):
+    # only gcd(v - 1, k_bound), a divisor of v - 1, is ever factorized
+    for v in (100, 10**4 + 2, 1000003):
+        refuse_unless_divides(monkeypatch, v - 1)
+        assert admissible(v, HARD_BOUND) == []
+    refuse_unless_divides(monkeypatch, 10**4 - 1)
     assert admissible(10**4, 2**3 * 3 * 9973 * HARD_BOUND) == brute_admissible(
         10**4, 2**3 * 3 * 9973
     )
-    with pytest.raises(AssertionError, match="factorize called"):
-        admissible(10**4 + 2, HARD_BOUND)  # v - 2 reaches the limit
 
 
 def test_admissible_agrees_with_brute_scan():
-    cases = [
-        (7, 24, None),
-        (11, 60, None),
-        (45, 1152, None),
-        (891, 446 * 223, None),
-        (325, 360, 5),
-        (7381, 3960, 11),
-        (41905, 14688, 17),
-        (28431, 645120, None),
-        (3838185, 15482880, None),
-        (3159, 2903040, None),
-        (22113, 415720, None),
-        (2401, 2400, None),
-        (1001, 5040, None),
-        (11, 1, None),
-        (11, 2, None),
-    ]
-    for v, bound, lam in cases:
+    for v, bound, lam in AGREEMENT_CASES:
         pairs = admissible(v, bound, lam)
         assert [(p.k, p.lam) for p in pairs] == brute_admissible(v, bound, lam), (
             v,
