@@ -1,10 +1,11 @@
 """Permutations and permutation groups.
 
 Points are 0-based everywhere inside the library; the cycle-notation text
-format and the group file format use 1-based labels.  Groups carry lazily
-built stabilizer chains that provide order, membership testing and point
-stabilizers: Knuth's deterministic form of Schreier-Sims over a full base,
-in which every point is a base point.
+format and the group file format use 1-based labels.  A group carries one
+lazily built stabilizer chain that provides order and membership testing:
+Knuth's deterministic form of Schreier-Sims over the full base
+0, ..., degree-1.  Point stabilizers and subdegrees come from Schreier
+generators, with no chain.
 """
 
 from __future__ import annotations
@@ -124,33 +125,32 @@ def _invert(images: tuple) -> tuple:
 class _StabilizerChain:
     """Stabilizer chain over a full base, built by Knuth's Schreier-Sims.
 
-    Every point is a base point: `first`, then the others in ascending
-    order.  gens[i] alone generates the stabilizer of base[:i] (gens[-1],
-    the stabilizer of every point, stays empty); transversals[i] maps each
-    point x of the orbit of base[i] under it to the inverse of a
-    representative carrying base[i] to x.  Levels from `depth` on have
-    only the identity in their transversals.  Generators, representatives
-    and sift residues are image tuples.
+    Every point is a base point, in ascending order, so level i is the
+    level of point i.  gens[i] alone generates the stabilizer of points
+    0..i-1 (gens[-1], the stabilizer of every point, stays empty);
+    transversals[i] maps each point x of the orbit of i under it to the
+    inverse of a representative carrying i to x.  Levels from `depth` on
+    have only the identity in their transversals.  Generators,
+    representatives and sift residues are image tuples.
     """
 
-    def __init__(self, generators, degree, first):
+    def __init__(self, generators, degree):
         self.identity = tuple(range(degree))
-        self.base = [first] + [pt for pt in range(degree) if pt != first]
         self.gens: list[list[tuple]] = [[] for _ in range(degree + 1)]
-        self.transversals = [{b: self.identity} for b in self.base]
+        self.transversals = [{b: self.identity} for b in range(degree)]
         self.depth = 0
         self._absorb([g.images for g in generators])
 
     def _absorb(self, generators) -> None:
         """Knuth's procedures A and B as one worklist, so nothing recurses.
 
-        An item (level, g, True) is a candidate generator fixing base[:level]:
-        unless it sifts to the identity it joins gens[level] and meets every
-        representative there.  An item (level, p, False) is such a product: a
-        new image of base[level] takes p as its representative and meets
-        every generator there; a known image gives a Schreier generator for
-        level + 1.  Each generator meets each representative once, when the
-        later of the two appears, and nothing restarts.
+        An item (level, g, True) is a candidate generator fixing the points
+        below level: unless it sifts to the identity it joins gens[level] and
+        meets every representative there.  An item (level, p, False) is such
+        a product: a new image of level takes p as its representative and
+        meets every generator there; a known image gives a Schreier generator
+        for level + 1.  Each generator meets each representative once, when
+        the later of the two appears, and nothing restarts.
         """
         # forward representatives; each level starts at the identity, its own inverse
         reps = [dict(tr) for tr in self.transversals]
@@ -162,7 +162,7 @@ class _StabilizerChain:
                     self.gens[level].append(p)
                     work.extend((level, _compose(p, u), False) for u in reps[level].values())
                 continue
-            img = p[self.base[level]]
+            img = p[level]
             inv = self.transversals[level].get(img)
             if inv is None:
                 reps[level][img] = p
@@ -178,7 +178,7 @@ class _StabilizerChain:
         has the identity as its representative and is skipped.  A level
         from `depth` on either is skipped or ends the sift unchanged, so
         the walk stops there."""
-        for b, tr in zip(self.base, self.transversals[: self.depth]):
+        for b, tr in enumerate(self.transversals[: self.depth]):
             img = images[b]
             if img != b:
                 inv = tr.get(img)
@@ -186,12 +186,6 @@ class _StabilizerChain:
                     break
                 images = _compose(inv, images)
         return images
-
-    def order(self) -> int:
-        return prod(len(tr) for tr in self.transversals)
-
-    def contains(self, g: Permutation) -> bool:
-        return self.strip(g.images) == self.identity
 
 
 @dataclass(frozen=True)
@@ -235,15 +229,15 @@ class PermutationGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators = generators
-        self._chains: dict[int, _StabilizerChain] = {}
+        self._stabilizer_chain: _StabilizerChain | None = None
         self._lock = threading.Lock()
 
-    def _chain(self, first: int = 0) -> _StabilizerChain:
-        """The chain whose base starts at `first`, built once."""
+    def _chain(self) -> _StabilizerChain:
+        """The stabilizer chain, built once."""
         with self._lock:
-            if first not in self._chains:
-                self._chains[first] = _StabilizerChain(self.generators, self.degree, first)
-            return self._chains[first]
+            if self._stabilizer_chain is None:
+                self._stabilizer_chain = _StabilizerChain(self.generators, self.degree)
+            return self._stabilizer_chain
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
@@ -263,21 +257,23 @@ class PermutationGroup:
         return out
 
     def order(self) -> int:
-        return self._chain().order()
+        return prod(len(tr) for tr in self._chain().transversals)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self._chain().contains(p)
+        chain = self._chain()
+        return chain.strip(p.images) == chain.identity
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
+        """The stabilizer of point, generated by its Schreier generators
+        (Schreier's lemma); no stabilizer chain is built."""
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
-        gens = self._chain(point).gens[1]
-        return PermutationGroup([Permutation(g) for g in gens], self.degree)
+        return PermutationGroup(map(Permutation, self._schreier_generators(point)), self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
         """Sorted orbit lengths of the stabilizer of point (G transitive)."""

@@ -10,9 +10,10 @@ projective spaces by a dot product per point pair, and subdegrees by the
 orbits of the elements that fix the point.  Two exceptions call the library:
 scan_is_primitive calls its minimal_block for every point, to pin which
 witness is_primitive returns when it tests only some of them, and
-chain_subdegrees reads the orbits of the point stabilizer that the
-stabilizer chain gives, to check the subdegrees that come from Schreier
-generators without a chain.
+chain_stabilizer takes a point stabilizer from the level-1 generators of a
+stabilizer chain, not from the Schreier generators that subdegrees and
+point_stabilizer use, so that chain_subdegrees and flag_transitive_two_step
+check those against the chain and not against themselves.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import combinations
 
 from symdesign.algebra import FieldTable, PrimePower
 from symdesign.constructions import pg_points
+from symdesign.perm import Permutation, PermutationGroup
 
 
 def sieve_primes(limit: int) -> list[bool]:
@@ -194,11 +196,23 @@ def scan_is_primitive(G):
     return False, G.block_system(best)
 
 
+def chain_stabilizer(G, point):
+    """The stabilizer of point, read from a stabilizer chain: conjugate G by
+    the transposition t of 0 and point, so that point becomes the chain's
+    first base point, take the generators of the chain's level 1 (the
+    stabilizer of 0) and conjugate them back by t."""
+    swap = list(range(G.degree))
+    swap[0], swap[point] = point, 0
+    t = Permutation(swap)
+    moved = PermutationGroup([t * g * t for g in G.generators], G.degree)
+    return PermutationGroup([t * Permutation(h) * t for h in moved._chain().gens[1]], G.degree)
+
+
 def chain_subdegrees(G, point):
     """Sorted orbit lengths of the chain's stabilizer of point (G transitive)."""
     if not G.is_transitive():
         raise ValueError("subdegrees require a transitive group")
-    stab = G.point_stabilizer(point)
+    stab = chain_stabilizer(G, point)
     return sorted(len(orb) for orb in stab.orbits())
 
 
@@ -216,7 +230,7 @@ def flag_transitive_two_step(G, D) -> bool:
     """Cross-check: point-transitive and G_alpha transitive on blocks on alpha."""
     if len(G.orbit(0)) != D.v:
         return False
-    stab = G.point_stabilizer(0)
+    stab = chain_stabilizer(G, 0)
     through = [b for b in D.blocks if 0 in b]
     if not through:
         return False

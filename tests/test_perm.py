@@ -20,6 +20,7 @@ from symdesign.constructions import load_group
 from symdesign.perm import (
     Permutation,
     PermutationGroup,
+    _StabilizerChain,
     parse_generators,
     read_group_file,
     write_group_file,
@@ -252,6 +253,17 @@ def test_orbits_linear_in_degree():
     assert orbits[0] == {0, 1} and orbits[1:] == [{x} for x in range(2, 20_000)]
 
 
+def test_one_chain_per_group():
+    G = load_group("sigma45.grp")
+    G.order()
+    chain = G._stabilizer_chain
+    for a in range(G.degree):
+        G.point_stabilizer(a)
+    assert chain is not None
+    assert [c for c in vars(G).values() if isinstance(c, _StabilizerChain)] == [chain]
+    assert G.contains(G.generators[0]) and G._stabilizer_chain is chain
+
+
 def test_deep_chain_symmetric_30():
     # a 30-level chain: every base point has a full orbit
     G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
@@ -297,9 +309,10 @@ def random_word(rng, gens, length=12):
 
 
 def full_walk_strip(chain, g):
-    """The residue of g sifted through every level of the chain's base, with
-    each product rebuilt through the validating constructor."""
-    for b, tr in zip(chain.base, chain.transversals):
+    """The residue of g sifted through every level of the chain, level b at
+    base point b, with each product rebuilt through the validating
+    constructor."""
+    for b, tr in enumerate(chain.transversals):
         img = g.images[b]
         if img != b:
             inv = tr.get(img)
@@ -430,7 +443,9 @@ def test_subdegrees_build_no_chain(n):
     # already leave two classes, {0} and the rest
     G = PermutationGroup(pgl2_generators(n))
     assert G.subdegrees(0) == [1, 2**n - 2]
-    assert G._chains == {}
+    stab = G.point_stabilizer(0)
+    assert stab.generators and all(g(0) == 0 for g in stab.generators)
+    assert G._stabilizer_chain is None
 
 
 def test_subdegrees_degree_one_and_two():
@@ -772,13 +787,24 @@ def test_group_file_bad_header(tmp_path):
         read_group_file(path)
 
 
-def test_concurrent_chain_build():
+def test_concurrent_chain_build(monkeypatch):
     import threading
 
+    builds = []
+    init = _StabilizerChain.__init__
+
+    def counted_init(self, *args):
+        builds.append(self)
+        time.sleep(0.05)  # a slow build: every thread asks for the chain meanwhile
+        init(self, *args)
+
+    monkeypatch.setattr(_StabilizerChain, "__init__", counted_init)
     G = load_group("psu4_2.grp")
     results = []
+    start = threading.Barrier(4)
 
     def worker():
+        start.wait()
         results.append(G.order())
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
@@ -787,3 +813,4 @@ def test_concurrent_chain_build():
     for t in threads:
         t.join()
     assert results == [25920] * 4
+    assert builds == [G._stabilizer_chain]
