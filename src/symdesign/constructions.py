@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
+from itertools import compress, product
 
 from .algebra import FieldTable, PrimePower
 from .design import IncidenceStructure, orbit_design
@@ -26,49 +26,65 @@ def pg_points(n: int, F: FieldTable) -> list[tuple[int, ...]]:
     """Normalized representatives of the 1-spaces of GF(q)^n.
 
     Each point is the vector in its line whose first nonzero coordinate is
-    1, listed in lexicographic order of the coordinate tuples.
+    1, listed in lexicographic order of the coordinate tuples: those with
+    more leading zeros first, then by the coordinates after the 1.
     """
-    pts = []
-    for vec in product(range(F.q), repeat=n):
-        lead = next((c for c in vec if c != 0), None)
-        if lead == 1:
-            pts.append(vec)
-    return pts
+    return [
+        (0,) * i + (1,) + rest
+        for i in range(n - 1, -1, -1)
+        for rest in product(range(F.q), repeat=n - 1 - i)
+    ]
 
 
 def projective_space(n: int, q: int) -> IncidenceStructure:
-    """Points vs hyperplanes of projective (n-1)-space over GF(q).
+    """Points vs hyperplanes of projective (n-1)-space over GF(q), q <= 256.
 
     Parameters come out as ((q^n-1)/(q-1), (q^{n-1}-1)/(q-1),
     (q^{n-2}-1)/(q-1)).  Hyperplane a-perp is listed for each normalized a,
-    in point order.  With j the first nonzero coordinate of a (so a_j = 1),
-    each normalized point y of PG(n-2, q) gives the free coordinates of one
-    point x of a-perp, with x_j = -sum_{i != j} a_i y_i, rescaled when its
-    first nonzero coordinate is not 1.  With GF(q) tabulated by FieldTable,
-    in O(q^2), the whole build is O(v*k*n) table lookups.
+    in point order.  Its points are read off one byte string of the dot
+    products a.x over all points x, in point order, so field elements must
+    fit in a byte.
+
+    In point order the points with x_0 = 0 are (0, p) for p in PG(n-2, q),
+    and the rest are (1, z) for z in GF(q)^{n-1} in lexicographic order.
+    Let dots(a) be the string of a.x over the points x of PG(len(a)-1, q),
+    and every(t) that of t.z over all z in GF(q)^len(t), both in
+    lexicographic order.  Then dots(a) is dots(a[1:]) followed by
+    every(a[1:]) with a_0 added to each byte, and every(t) is every(t[1:])
+    with t_0 c added, for c = 0..q-1 in turn.  Adding a constant to each
+    byte is one bytes.translate, so every field addition runs inside it.
+    dots and every are memoized for the tails of length <= n-2, built
+    bottom-up; the two leading coordinates of a are expanded per hyperplane.
     """
     if n < 3:
         raise ValueError("projective_space needs n >= 3")
-    F = FieldTable(PrimePower.of(q))
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    prime_power = PrimePower.of(q)
+    if q > 256:
+        raise ValueError("projective_space needs q <= 256")
+    F = FieldTable(prime_power)
+    add, mul = F.add, F.mul
+    plus = [bytes(row) + bytes(256 - q) for row in add]  # translate tables: + s
+    every, dots = {(): b"\0"}, {(): b""}  # by tail t, bottom-up by length
+    for m in range(1, n - 1):
+        for t in product(range(q), repeat=m):
+            rest = every[t[1:]]
+            every[t] = b"".join([rest.translate(plus[s]) for s in mul[t[0]]])
+            dots[t] = dots[t[1:]] + rest.translate(plus[t[0]])
     pts = pg_points(n, F)
-    index = {x: i for i, x in enumerate(pts)}
-    free = [(y, y.index(1)) for y in pg_points(n - 1, F)]
-    blocks = []
-    for a in pts:
-        j = a.index(1)
-        coeffs = [(i, mul[c]) for i, c in enumerate(a[j + 1:], j) if c]
-        blk = []
-        for y, lead in free:
-            s = 0
-            for i, row in coeffs:
-                s = add[s][row[y[i]]]
-            x = y[:j] + (neg[s],) + y[j:]
-            if lead >= j and s:  # x starts with x_j = -s: rescale it to 1
-                x = tuple(mul[inv[neg[s]]][c] for c in x)
-            blk.append(index[x])
-        blocks.append(blk)
-    return IncidenceStructure(len(pts), blocks)
+    points = list(range(len(pts)))  # one int object per point, shared by all blocks
+    is_zero = b"\1" + bytes(255)  # translate table: 0 -> 1, else 0
+
+    def blocks():
+        for a in pts:
+            a0, a1, u = a[0], a[1], a[2:]
+            rest = every[u]
+            # dots(a[1:]) is dots(u), every(u) + a1; every(a[1:]) + a0 is
+            # every(u) + a1 c + a0 for c = 0..q-1
+            parts = [dots[u], rest.translate(plus[a1])]
+            parts += [rest.translate(plus[add[a0][s]]) for s in mul[a1]]
+            yield compress(points, b"".join(parts).translate(is_zero))
+
+    return IncidenceStructure(len(pts), blocks())
 
 
 def pg_params(n: int, q: int) -> tuple[int, int, int]:

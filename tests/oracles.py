@@ -5,9 +5,10 @@ design verification and the first bad point pair by direct pair counting,
 group order by closure enumeration, minimal blocks by subset search,
 admissibility by a full range scan, flag-transitivity in two steps (point
 orbit, then blocks through a point), difference sets by subset search on
-element labels, GF(p^a) tables by schoolbook products of digit tuples, and
-projective spaces by a dot product per point pair, and subdegrees by the
-orbits of the elements that fix the point.  Two exceptions call the library:
+element labels, GF(p^a) tables by schoolbook products of digit tuples,
+projective spaces by a dot product per pair of points found by filtering
+all of GF(q)^n, and subdegrees by the orbits of the elements that fix the
+point.  Two exceptions call the library:
 scan_is_primitive calls its minimal_block for every point, to pin which
 witness is_primitive returns when it tests only some of them, and
 chain_stabilizer takes a point stabilizer from the level-1 generators of a
@@ -18,10 +19,9 @@ check those against the chain and not against themselves.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from symdesign.algebra import FieldTable, PrimePower
-from symdesign.constructions import pg_points
 from symdesign.perm import Permutation, PermutationGroup
 
 
@@ -114,6 +114,12 @@ def brute_gf(p, modulus):
     return add, mul, neg, inv
 
 
+def brute_pg_points(n, q):
+    """The vectors of GF(q)^n whose first nonzero coordinate is 1, by
+    filtering all q^n of them in lexicographic order."""
+    return [x for x in product(range(q), repeat=n) if next((c for c in x if c), 0) == 1]
+
+
 def brute_projective_space(n, q):
     """Blocks of the point-hyperplane design of PG(n-1, q), by dot product.
 
@@ -122,7 +128,7 @@ def brute_projective_space(n, q):
     coordinate at a time in the FieldTable add and mul tables: O(v^2 n)
     lookups."""
     F = FieldTable(PrimePower.of(q))
-    pts = pg_points(n, F)
+    pts = brute_pg_points(n, q)
 
     def dot(a, b):
         s = 0

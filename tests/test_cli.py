@@ -73,6 +73,7 @@ def test_construct_diffset_unknown_ambient(capsys):
         (["pg", "3"], "construct pg needs: pg N Q"),
         (["diffset", "cyclic11", "5"], "construct diffset needs: diffset AMBIENT K LAMBDA"),
         (["fano_complement", "x"], "construct takes one catalog name, or pg/diffset forms"),
+        (["pg", "3", "257"], "projective_space needs q <= 256"),
     ],
 )
 def test_construct_bad_input(capsys, what, message):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import sys
@@ -20,6 +21,7 @@ from symdesign.constructions import (
     projective_space,
     quaternion8_x_z2,
 )
+from symdesign.design import write_design_file
 
 
 # --- projective spaces -------------------------------------------------------
@@ -72,7 +74,8 @@ def test_projective_space_gf4():
 @pytest.mark.parametrize(
     "n,q",
     [(3, q) for q in (2, 3, 4, 5, 7, 8, 9)]
-    + [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (6, 2), (7, 2)],
+    + [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (6, 2), (7, 2)]
+    + [(3, 16), (3, 25), (4, 5)],
 )
 def test_projective_space_block_order_matches_brute(n, q):
     # same blocks in the same order, so written files and flag starts agree
@@ -82,6 +85,47 @@ def test_projective_space_block_order_matches_brute(n, q):
 def test_projective_space_pg8_2():
     params = projective_space(8, 2).verify_symmetric()
     assert (params.v, params.k, params.lam) == (255, 127, 63)
+
+
+# SHA-256 of the design file written for PG(n-1, q): the 15 (n, q) that the
+# designs benchmark constructs, plus PG(4,5) and PG(8,2)
+PG_FILE_SHA256 = {
+    (3, 2): "7ef41641239c21e15c3d5c0ca205e17a7c760d3498419a30120dd60f037b1e67",
+    (3, 3): "504b4b63dc035a748b1cb6af73c8318cb7555b35fb74a5bfe873fcd6c3a219da",
+    (3, 4): "eb94b00dac660f48caf323f289ee9e723e6873bbc22dbe728bcaf4495562c738",
+    (3, 5): "e5b3b1dfec48d64122b8aa042ac3ce89b1b126c78c40ca8037aa1608ef79743f",
+    (3, 7): "60513157cf1c6c5b4574f7544ee9026e2408ba656e3ad9a3eb920bbb9fb2e5c9",
+    (3, 8): "c423c521b389bafb0cabe7d27ae3d7d65a97f436e99f794ef741f53bb0f9e493",
+    (3, 9): "79e43f9cc29b8c010109a0a1ca37aa121d4c515f5fabb5091f84a7bfa6c33455",
+    (4, 2): "cbc60da17f50ae56d264cf2a2f6f4547f0942a0b3a62151fe432f5664126a3c3",
+    (4, 3): "93de56f9fedc22e17c04fb77c8d124818e380633936233c099f0b22619e501d2",
+    (4, 4): "57b6d65c91a82dcfe3b1fa902aaefccf04cb4deb7b1e650cda28f933131db573",
+    (5, 2): "6093716206d9c060782a5d1f4e501ddf8e11aaad577428d9493d5cbec86fbe5b",
+    (5, 3): "37c8c5640f384d7b6a8b9b4b05c8d7da2b659668f68183a8f735aba4eda6f11d",
+    (6, 2): "34b95efba0ea70a5085d03c9546e64eb6ee7a79e37d0df5eabc592b01dc636ef",
+    (7, 2): "fb8e8e866844a40e2045568cf193dda916a794c07cef8245dc73be946fd86649",
+    (8, 2): "1a479b9012ce6ff2b0fdc5741b2780c9dc1404bbcd80d1088364462f3ff369a9",
+    (5, 5): "2c2a33d558fb9af938262d1747891b60c65ec3d9b7620524a5806b586ebb64ad",
+    (9, 2): "436b9f18c189b3158c711b521a6715a4eb95169cbab61919abd4ed2d7dda43c0",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(PG_FILE_SHA256))
+def test_projective_space_file_bytes_pinned(tmp_path, n, q):
+    path = tmp_path / "pg.design"
+    write_design_file(path, projective_space(n, q))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PG_FILE_SHA256[n, q]
+
+
+def test_projective_space_leaves_no_cyclic_garbage():
+    # the build's memo is freed on return, not left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        projective_space(8, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n,q", [(6, 2), (3, 9)])
