@@ -62,7 +62,7 @@ def _cmd_construct(args) -> int:
         try:
             inst = constructions.catalog(args.what[0])
         except KeyError as exc:
-            raise SystemExit2(str(exc))
+            raise SystemExit2(exc.args[0])
         D, group, label = inst.design, inst.group, inst.name
     params = _verified(D)
     if params is None:
@@ -193,7 +193,7 @@ def _cmd_eliminate(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    if not algebra.is_prime(args.lam):
+    if args.lam < 2 or not algebra.is_prime(args.lam):
         raise SystemExit2("--lambda must be prime")
     for v, k, lam, c, d, length in elimination.corollary_families(args.lam):
         print(f"(v,k,lambda,c,d,l) = ({v},{k},{lam},{c},{d},{length})")

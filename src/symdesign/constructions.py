@@ -276,7 +276,6 @@ class NamedInstance:
     expected_params: tuple[int, int, int]
     flag_transitive: bool | None
     point_primitive: bool | None
-    note: str = ""
 
 
 def _data_text(filename: str) -> str:
@@ -292,84 +291,47 @@ def _block_from_file(filename: str) -> frozenset[int]:
     return frozenset(int(s) - 1 for s in _data_text(filename).split(","))
 
 
-CATALOG_NAMES = (
-    "fano_complement",
-    "paley_11_5_2",
-    "paley_complement_11_6_3",
-    "unitary_45_12_3",
-    "imprimitive_45_12_3",
-    "biplane16_ea",
-    "biplane16_z2z8",
-    "biplane16_q8z2",
-)
+def _paley() -> IncidenceStructure:
+    # quadratic residues mod 11 form the Paley difference set
+    return develop_difference_set(DifferenceSetSpec(cyclic(11), (1, 3, 4, 5, 9)))
+
+
+def _biplane16(ambient: str) -> IncidenceStructure:
+    return develop_difference_set(find_difference_set(_AMBIENTS[ambient](), 6, 2))
+
+
+# name -> (design from the loaded group, group file under data/ or None,
+# (v, k, lambda), (flag-transitive, point-primitive)).  Builders call the
+# module's functions by name, so a patched projective_space or orbit_design
+# is the one they reach.
+_CATALOG = {
+    "fano_complement": (
+        lambda G: projective_space(3, 2).complement(), "psl2_7.grp", (7, 4, 2), (True, True)
+    ),
+    "paley_11_5_2": (lambda G: _paley(), "psl2_11.grp", (11, 5, 2), (True, True)),
+    "paley_complement_11_6_3": (
+        lambda G: _paley().complement(), "psl2_11.grp", (11, 6, 3), (True, True)
+    ),
+    "unitary_45_12_3": (
+        lambda G: orbit_design(G, _block_from_file("unitary_45_12_3.block")),
+        "psu4_2.grp", (45, 12, 3), (True, True),
+    ),
+    "imprimitive_45_12_3": (
+        lambda G: orbit_design(
+            G, frozenset(x - 1 for x in (1, 2, 3, 4, 6, 11, 19, 28, 36, 40, 41, 45))
+        ),
+        "sigma45.grp", (45, 12, 3), (True, False),
+    ),
+    "biplane16_ea": (lambda G: _biplane16("ea16"), None, (16, 6, 2), (None, None)),
+    "biplane16_z2z8": (lambda G: _biplane16("z2z8"), None, (16, 6, 2), (None, None)),
+    "biplane16_q8z2": (lambda G: _biplane16("q8z2"), None, (16, 6, 2), (None, None)),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str) -> NamedInstance:
-    if name == "fano_complement":
-        return NamedInstance(
-            name,
-            projective_space(3, 2).complement(),
-            load_group("psl2_7.grp"),
-            (7, 4, 2),
-            True,
-            True,
-            "complement of the Fano plane, acted on by PSL(2,7) ~ PSL(3,2)",
-        )
-    if name == "paley_11_5_2":
-        # quadratic residues mod 11 form the Paley difference set
-        spec = DifferenceSetSpec(cyclic(11), (1, 3, 4, 5, 9))
-        return NamedInstance(
-            name,
-            develop_difference_set(spec),
-            load_group("psl2_11.grp"),
-            (11, 5, 2),
-            True,
-            True,
-            "development of the quadratic-residue difference set mod 11",
-        )
-    if name == "paley_complement_11_6_3":
-        base = catalog("paley_11_5_2")
-        return NamedInstance(
-            name, base.design.complement(), base.group, (11, 6, 3), True, True,
-            "complement of the (11,5,2) biplane",
-        )
-    if name == "unitary_45_12_3":
-        group = load_group("psu4_2.grp")
-        block = _block_from_file("unitary_45_12_3.block")
-        return NamedInstance(
-            name,
-            orbit_design(group, block),
-            group,
-            (45, 12, 3),
-            True,
-            True,
-            "perp-neighborhood design of the 45 isotropic points of a"
-            " Hermitian form on GF(4)^4, group PSU(4,2)",
-        )
-    if name == "imprimitive_45_12_3":
-        group = load_group("sigma45.grp")
-        block = frozenset(x - 1 for x in (1, 2, 3, 4, 6, 11, 19, 28, 36, 40, 41, 45))
-        return NamedInstance(
-            name,
-            orbit_design(group, block),
-            group,
-            (45, 12, 3),
-            True,
-            False,
-            "point-imprimitive design developed from a 12-point base block"
-            " under a degree-45 group of order 3240",
-        )
-    if name in ("biplane16_ea", "biplane16_z2z8", "biplane16_q8z2"):
-        ambient = {
-            "biplane16_ea": "ea16",
-            "biplane16_z2z8": "z2z8",
-            "biplane16_q8z2": "q8z2",
-        }[name]
-        spec = find_difference_set(_AMBIENTS[ambient](), 6, 2)
-        if spec is None:  # pragma: no cover - all three groups admit one
-            raise AssertionError(f"no (16,6,2) difference set in {ambient}")
-        return NamedInstance(
-            name, develop_difference_set(spec), None, (16, 6, 2), None, None,
-            f"development of a (16,6,2) difference set in {spec.ambient.name}",
-        )
-    raise KeyError(f"unknown catalog name {name!r}; choose from {CATALOG_NAMES}")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog name {name!r}; choose from {CATALOG_NAMES}")
+    build, group_file, params, (flag_transitive, point_primitive) = _CATALOG[name]
+    group = None if group_file is None else load_group(group_file)
+    return NamedInstance(name, build(group), group, params, flag_transitive, point_primitive)

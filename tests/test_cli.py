@@ -74,6 +74,13 @@ def test_construct_diffset_unknown_ambient(capsys):
         (["diffset", "cyclic11", "5"], "construct diffset needs: diffset AMBIENT K LAMBDA"),
         (["fano_complement", "x"], "construct takes one catalog name, or pg/diffset forms"),
         (["pg", "3", "257"], "projective_space needs q <= 256"),
+        (["nonexistent"],
+         "unknown catalog name 'nonexistent'; choose from ('fano_complement',"
+         " 'paley_11_5_2', 'paley_complement_11_6_3', 'unitary_45_12_3',"
+         " 'imprimitive_45_12_3', 'biplane16_ea', 'biplane16_z2z8', 'biplane16_q8z2')"),
+        (["diffset", "nope", "5", "2"],
+         "unknown ambient group 'nope'; choose from"
+         " ['cyclic11', 'cyclic7', 'ea16', 'q8z2', 'z2z8']"),
     ],
 )
 def test_construct_bad_input(capsys, what, message):
@@ -420,9 +427,10 @@ def test_families(capsys):
 
 
 def test_families_composite_lambda(capsys):
-    code, _, err = run(capsys, "families", "--lambda", "4")
-    assert code == 2
-    assert "error:" in err
+    for lam in ("4", "1", "0", "-3"):
+        assert run(capsys, "families", "--lambda", lam) == (
+            2, "", "error: --lambda must be prime\n"
+        ), lam
 
 
 def test_determinism_byte_identical(capsys, tmp_path):

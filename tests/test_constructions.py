@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_difference_set, brute_projective_space, brute_verify_symmetric
+from symdesign import constructions
 from symdesign.algebra import FieldTable, is_prime
 from symdesign.constructions import (
     _AMBIENTS,
@@ -22,6 +23,7 @@ from symdesign.constructions import (
     quaternion8_x_z2,
 )
 from symdesign.design import write_design_file
+from symdesign.perm import write_group_file
 
 
 # --- projective spaces -------------------------------------------------------
@@ -275,6 +277,73 @@ def test_catalog_names_complete():
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog("nonexistent")
+
+
+# per catalog name: SHA-256 of write_design_file's output, and the vendored
+# group file the instance carries (None: no group)
+CATALOG_PINS = {
+    "fano_complement": (
+        "0e018653cf505d4fd774ea336ca4001493e44f4b04f0e67577947d823ea880d3", "psl2_7.grp"
+    ),
+    "paley_11_5_2": (
+        "5dd0d25872c6dd4a8d2f35b50f36fc0070d297fd95e63c304e2ab53e9854416b", "psl2_11.grp"
+    ),
+    "paley_complement_11_6_3": (
+        "f479c04ccbc309b5df1fd99f7ecd26a5e2216d11d7fcfdcb3d501aed6011d016", "psl2_11.grp"
+    ),
+    "unitary_45_12_3": (
+        "f319cce8b4c279f3acc9bc6a423219b2f8365d5e11f344f50184f6b2b2da062f", "psu4_2.grp"
+    ),
+    "imprimitive_45_12_3": (
+        "c76eeccf9a4788879dba7f8695bf0a36edbf7ffadd992f7163d7884f401797c3", "sigma45.grp"
+    ),
+    "biplane16_ea": ("97f68c16579543bf1977e46a8276f8e83d3801cb242efc33c918bcfc700b591d", None),
+    "biplane16_z2z8": ("b1d0140c1e75623e6939908b976d98ca9ab9a45e5d37d65b9f5420a7bf15e93b", None),
+    "biplane16_q8z2": ("c191283cddd1913a991912efeaa4c739e7ee94155d2bc6f0bb4c597ebdcc44a9", None),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_files_pinned(tmp_path, name):
+    digest, group_file = CATALOG_PINS[name]
+    inst = catalog(name)
+    write_design_file(tmp_path / "d", inst.design)
+    assert hashlib.sha256((tmp_path / "d").read_bytes()).hexdigest() == digest
+    if group_file is None:
+        assert inst.group is None
+    else:
+        write_group_file(tmp_path / "g", inst.group)
+        vendored = resources.files("symdesign.data").joinpath(group_file).read_bytes()
+        assert (tmp_path / "g").read_bytes() == vendored
+
+
+def test_catalog_calls_module_entry_points(monkeypatch):
+    # the tracer wraps these names in the module, so catalog must look them
+    # up there on each call rather than hold the original functions
+    called = set()
+    for fname in ("projective_space", "orbit_design", "find_difference_set",
+                  "develop_difference_set"):
+        def counted(*args, _fn=getattr(constructions, fname), _fname=fname):
+            called.add(_fname)
+            return _fn(*args)
+
+        monkeypatch.setattr(constructions, fname, counted)
+    hits = {}
+    for name in CATALOG_NAMES:
+        called.clear()
+        catalog(name)
+        hits[name] = set(called)
+    diffset = {"find_difference_set", "develop_difference_set"}
+    assert hits == {
+        "fano_complement": {"projective_space"},
+        "paley_11_5_2": {"develop_difference_set"},
+        "paley_complement_11_6_3": {"develop_difference_set"},
+        "unitary_45_12_3": {"orbit_design"},
+        "imprimitive_45_12_3": {"orbit_design"},
+        "biplane16_ea": diffset,
+        "biplane16_z2z8": diffset,
+        "biplane16_q8z2": diffset,
+    }
 
 
 def test_catalog_primitivity_flags():
