@@ -302,8 +302,6 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Irreducibility of a monic polynomial over GF(p) by trial division."""
     a = len(poly) - 1
-    if a == 1:
-        return True
     # divide by every monic polynomial of degree 1..a//2
     for d in range(1, a // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):

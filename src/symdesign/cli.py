@@ -22,16 +22,21 @@ def _int_arg(form: str, name: str, text: str) -> int:
         raise SystemExit2(f"construct {form}: {name} must be an integer, got {text!r}") from None
 
 
+def _outside(call, *args):
+    """call(*args) on outside input: a bad file or parameter exits 2 with its message."""
+    try:
+        return call(*args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit2(str(exc)) from None
+
+
 def _cmd_construct(args) -> int:
+    group = None
     if args.what[0] == "pg":
         if len(args.what) != 3:
             raise SystemExit2("construct pg needs: pg N Q")
         n, q = _int_arg("pg", "N", args.what[1]), _int_arg("pg", "Q", args.what[2])
-        try:
-            D = constructions.projective_space(n, q)
-        except ValueError as exc:
-            raise SystemExit2(str(exc))
-        group = None
+        D = _outside(constructions.projective_space, n, q)
         label = f"pg({n},{q})"
     elif args.what[0] == "diffset":
         if len(args.what) != 4:
@@ -44,17 +49,12 @@ def _cmd_construct(args) -> int:
             )
         k = _int_arg("diffset", "K", args.what[2])
         lam = _int_arg("diffset", "LAMBDA", args.what[3])
-        try:
-            spec = constructions.find_difference_set(
-                constructions._AMBIENTS[ambient_name](), k, lam
-            )
-        except ValueError as exc:
-            raise SystemExit2(str(exc))
+        ambient = constructions._AMBIENTS[ambient_name]()
+        spec = _outside(constructions.find_difference_set, ambient, k, lam)
         if spec is None:
             print("no difference set found")
             return 1
         D = constructions.develop_difference_set(spec)
-        group = None
         label = f"development of {sorted(spec.ambient.index[e] for e in spec.base_set)}"
     else:
         if len(args.what) != 1:
@@ -96,11 +96,7 @@ def _verified(D: design.IncidenceStructure):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        D = read_design_file(args.design)
-    except (OSError, ValueError) as exc:
-        raise SystemExit2(str(exc))
-    params = _verified(D)
+    params = _verified(_outside(read_design_file, args.design))
     if params is None:
         return 1
     trivial = "" if params.nontrivial else " (trivial)"
@@ -110,86 +106,66 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    try:
-        G = perm.read_group_file(args.group)
-    except (OSError, ValueError) as exc:
-        raise SystemExit2(str(exc))
+    G = _outside(perm.read_group_file, args.group)
     point = args.point - 1
     if not 0 <= point < G.degree:
         raise SystemExit2(f"--point must be in 1..{G.degree}")
+    if args.query in ("subdegrees", "primitive") and not G.is_transitive():
+        print("group is not transitive")
+        return 1
     if args.query == "order":
         print(G.order())
     elif args.query == "orbits":
         for orb in G.orbits():
             print(",".join(str(p + 1) for p in sorted(orb)))
     elif args.query == "subdegrees":
-        if not G.is_transitive():
-            print("group is not transitive")
-            return 1
         print(" ".join(map(str, G.subdegrees(point))))
-    elif args.query == "primitive":
-        if not G.is_transitive():
-            print("group is not transitive")
-            return 1
-        primitive, system = G.is_primitive()
-        if primitive:
-            print("primitive: yes")
-        else:
-            c, d = system.class_size, system.num_classes
-            print(f"primitive: no ({c}x{d} system)")
-            for cls in system.classes():
-                print(",".join(str(p + 1) for p in sorted(cls)))
+    else:
+        text, system = _primitivity(G)
+        print(f"primitive: {text}")
+        for cls in system.classes() if system else ():
+            print(",".join(str(p + 1) for p in sorted(cls)))
     return 0
 
 
+def _primitivity(G):
+    """'yes' or 'no (CxD system)' for a transitive G, and its block system."""
+    primitive, system = G.is_primitive()
+    if primitive:
+        return "yes", None
+    return f"no ({system.class_size}x{system.num_classes} system)", system
+
+
 def _cmd_flagtest(args) -> int:
-    try:
-        G = perm.read_group_file(args.group)
-        D = read_design_file(args.design)
-    except (OSError, ValueError) as exc:
-        raise SystemExit2(str(exc))
+    G = _outside(perm.read_group_file, args.group)
+    D = _outside(read_design_file, args.design)
     try:
         ft = design.is_flag_transitive(G, D)
     except ValueError as exc:
         print(f"precondition failed: {exc}")
         return 1
-    primitive, system = G.is_primitive() if G.is_transitive() else (False, None)
-    if primitive:
-        prim_text = "yes"
-    elif system is not None:
-        prim_text = f"no ({system.class_size}x{system.num_classes} system)"
-    else:
-        prim_text = "no (intransitive)"
+    prim_text = _primitivity(G)[0] if G.is_transitive() else "no (intransitive)"
     print(f"flag-transitive: {'yes' if ft else 'no'}; primitive: {prim_text}")
     return 0 if ft else 1
 
 
 def _cmd_eliminate(args) -> int:
     if args.table:
-        try:
-            reports = elimination.run_catalog(args.table)
-        except ValueError as exc:
-            raise SystemExit2(str(exc))
-        bad = 0
+        reports = _outside(elimination.run_catalog, args.table)
         for rep in reports:
-            pairs = " ".join(f"({p.k},{p.lam})" for p in rep.pairs) or "EMPTY"
             note = f" [{rep.note}]" if rep.note else ""
-            print(f"#R {rep.row.id} {rep.status} {pairs}{note}")
-            if rep.status != "PASS":
-                bad += 1
+            print(f"#R {rep.row.id} {rep.status} {_pairs_text(rep.pairs)}{note}")
+        bad = sum(rep.status != "PASS" for rep in reports)
         print(f"{len(reports)} rows, {len(reports) - bad} PASS, {bad} not PASS")
         return 0 if bad == 0 else 1
     if args.v is None or args.bound is None:
         raise SystemExit2("eliminate needs --table ID or both --v and --bound")
-    try:
-        pairs = elimination.admissible(args.v, args.bound, args.required_lambda)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
-    if pairs:
-        print(" ".join(f"({p.k},{p.lam})" for p in pairs))
-    else:
-        print("EMPTY")
+    print(_pairs_text(_outside(elimination.admissible, args.v, args.bound, args.required_lambda)))
     return 0
+
+
+def _pairs_text(pairs) -> str:
+    return " ".join(f"({p.k},{p.lam})" for p in pairs) or "EMPTY"
 
 
 def _cmd_families(args) -> int:

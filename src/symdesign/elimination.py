@@ -112,7 +112,9 @@ def admissible(v, k_bound, required_lambda=None):
     power exactly dividing v-1 divides k or k-1, so a = gcd(v-1, k) is a
     unitary divisor of v-1 (coprime to b = (v-1)/a) that divides
     g = gcd(v-1, k_bound).  By the CRT, k = 0 (mod a) and k = 1 (mod b) fix
-    k modulo v-1, so each such a gives at most one k in 3..v-2.
+    k modulo v-1, so each such a gives at most one k in 3..v-2.  That k is
+    a(a^-1 mod b) <= a(b-1) <= v-2, so lambda < k and lambda*v =
+    k^2 - k + lambda < k^2 hold without a test.
     """
     if v < 4:
         raise ValueError("admissible needs v >= 4")
@@ -132,8 +134,6 @@ def admissible(v, k_bound, required_lambda=None):
             continue
         lam = k * (k - 1) // (v - 1)
         if required_lambda is not None and lam != required_lambda:
-            continue
-        if lam * v >= k * k:
             continue
         if not is_prime(lam):
             continue

@@ -81,6 +81,8 @@ def test_construct_diffset_unknown_ambient(capsys):
         (["diffset", "nope", "5", "2"],
          "unknown ambient group 'nope'; choose from"
          " ['cyclic11', 'cyclic7', 'ea16', 'q8z2', 'z2z8']"),
+        (["pg", "16", "2"], "projective_space needs v*k <= 16777216"),
+        (["pg", "3", "256"], "projective_space needs v*k <= 16777216"),
     ],
 )
 def test_construct_bad_input(capsys, what, message):
@@ -187,6 +189,12 @@ def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.design"))
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_one_point_design_is_trivial(capsys, tmp_path):
+    d_file = tmp_path / "one.design"
+    d_file.write_text("v 1\n1\n")
+    assert run(capsys, "verify", str(d_file)) == (0, "symmetric (1,1,0) (trivial)\n", "")
 
 
 def test_group_queries(capsys, tmp_path):
@@ -360,6 +368,32 @@ def test_flagtest_degree_mismatch(capsys, tmp_path):
     assert "precondition failed" in out
 
 
+@pytest.mark.parametrize(
+    "blocks, expected",
+    [
+        ("", (1, "precondition failed: no blocks\n", "")),
+        ("1,2\n", (0, "flag-transitive: yes; primitive: no (intransitive)\n", "")),
+    ],
+    ids=["no-blocks", "intransitive"],
+)
+def test_flagtest_intransitive_group(capsys, tmp_path, blocks, expected):
+    g_file, d_file = tmp_path / "g.grp", tmp_path / "d.design"
+    g_file.write_text("degree 3\n(1,2)\n")
+    d_file.write_text("v 3\n" + blocks)
+    assert run(capsys, "flagtest", str(g_file), str(d_file)) == expected
+
+
+@pytest.mark.parametrize("missing", ["group", "design"])
+def test_flagtest_missing_file(capsys, tmp_path, missing):
+    g_file, d_file = tmp_path / "g.grp", tmp_path / "d.design"
+    run(capsys, "construct", "fano_complement", "-o", str(d_file), "--group-out", str(g_file))
+    path = {"group": g_file, "design": d_file}[missing]
+    path.unlink()
+    assert run(capsys, "flagtest", str(g_file), str(d_file)) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{path}'\n"
+    )
+
+
 def test_eliminate_single_scan(capsys):
     code, out, _ = run(capsys, "eliminate", "--v", "11", "--bound", "60")
     assert code == 0
@@ -402,6 +436,18 @@ def test_eliminate_table(capsys):
         "#R t1-unitary PASS (12,3)",
     ]
     assert "3 rows, 3 PASS, 0 not PASS" in out
+
+
+def test_eliminate_table_failing_row(capsys, monkeypatch):
+    monkeypatch.setitem(elimination.EXPECTED_PAIRS, "t1-fano", [])
+    assert run(capsys, "eliminate", "--table", "t1") == (
+        1,
+        "#R t1-fano FAIL (4,2) [expected EMPTY, scan found [AdmissiblePair(k=4, lam=2)]]\n"
+        "#R t1-paley PASS (5,2) (6,3)\n"
+        "#R t1-unitary PASS (12,3)\n"
+        "3 rows, 2 PASS, 1 not PASS\n",
+        "",
+    )
 
 
 def test_eliminate_all_tables(capsys):

@@ -13,6 +13,7 @@ from symdesign.algebra import FieldTable, is_prime
 from symdesign.constructions import (
     _AMBIENTS,
     CATALOG_NAMES,
+    MAX_INCIDENCES,
     DifferenceSetSpec,
     catalog,
     cyclic,
@@ -66,6 +67,24 @@ def test_pg_lambda_primality_annotations():
 def test_projective_space_rejects_small_n():
     with pytest.raises(ValueError):
         projective_space(2, 2)
+
+
+@pytest.mark.parametrize("n,q", [(13, 2), (16, 2), (3, 256), (10**9, 2)])
+def test_projective_space_refuses_above_incidence_limit(monkeypatch, n, q):
+    # refused before GF(q) is tabulated or q^n is computed for a long n
+    def refuse(self, prime_power):
+        raise AssertionError("FieldTable built")
+
+    monkeypatch.setattr(FieldTable, "__init__", refuse)
+    with pytest.raises(ValueError, match=r"^projective_space needs v\*k <= 16777216$"):
+        projective_space(n, q)
+
+
+def test_incidence_limit_sits_between_pg12_2_and_pg13_2():
+    v, k, _ = pg_params(12, 2)
+    assert v * k <= MAX_INCIDENCES == 2**24
+    v, k, _ = pg_params(13, 2)
+    assert v * k > MAX_INCIDENCES
 
 
 def test_projective_space_gf4():
