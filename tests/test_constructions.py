@@ -214,9 +214,16 @@ def _feasible(n):
 
 @pytest.mark.parametrize(
     "ambient,k,lam",
-    [(cyclic(n), k, lam) for n in range(2, 17) for k, lam in _feasible(n)]
-    + [(_AMBIENTS[name](), 6, 2) for name in ("ea16", "z2z8", "q8z2")],
-    ids=lambda x: getattr(x, "name", None),
+    [
+        pytest.param(ambient, k, lam, id=f"{label}-{k}-{lam}")
+        for label, ambient, k, lam in (
+            [(f"Z{n}", cyclic(n), k, lam) for n in range(2, 17) for k, lam in _feasible(n)]
+            + [
+                (label, _AMBIENTS[name](), 6, 2)
+                for label, name in (("Z2^4", "ea16"), ("Z2xZ8", "z2z8"), ("Q8xZ2", "q8z2"))
+            ]
+        )
+    ],
 )
 def test_find_difference_set_matches_brute(ambient, k, lam):
     spec = find_difference_set(ambient, k, lam)
