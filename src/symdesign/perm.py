@@ -6,6 +6,13 @@ lazily built stabilizer chain that provides order and membership testing:
 Knuth's deterministic form of Schreier-Sims over the full base
 0, ..., degree-1.  Point stabilizers and subdegrees come from Schreier
 generators, with no chain.
+
+The chain and the Schreier generators multiply and invert permutations
+through the kernels `_kernels(degree)` picks from the degree alone: up to
+degree 256 a permutation is a 256-byte string that fixes every point from
+degree on, composed by `bytes.translate` and inverted by `bytes.maketrans`,
+each one C call; above 256 it is an image tuple.  `Permutation.images` is
+always a tuple.
 """
 
 from __future__ import annotations
@@ -16,6 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
+
+
+# The largest degree a group file may declare
+MAX_DEGREE = 1 << 16
 
 
 class Permutation:
@@ -122,6 +133,27 @@ def _invert(images: tuple) -> tuple:
     return tuple(inv)
 
 
+_BYTE_IDENTITY = bytes(range(256))
+
+
+def _kernels(degree: int) -> tuple:
+    """(encode, decode, compose, invert, identity) for permutations of
+    degree: encode takes an image sequence to the representation, decode
+    gives back the image tuple, and compose and invert act as _compose and
+    _invert.  The representation is a 256-byte string fixing every point
+    from degree on if degree <= 256, else the image tuple."""
+    if degree > 256:
+        return tuple, tuple, _compose, _invert, tuple(range(degree))
+    tail = _BYTE_IDENTITY[degree:]
+    return (
+        lambda images: bytes(images) + tail,
+        lambda p: tuple(p[:degree]),
+        lambda outer, inner: inner.translate(outer),
+        lambda p: bytes.maketrans(p, _BYTE_IDENTITY),
+        _BYTE_IDENTITY,
+    )
+
+
 class _StabilizerChain:
     """Stabilizer chain over a full base, built by Knuth's Schreier-Sims.
 
@@ -131,15 +163,17 @@ class _StabilizerChain:
     transversals[i] maps each point x of the orbit of i under it to the
     inverse of a representative carrying i to x.  Levels from `depth` on
     have only the identity in their transversals.  Generators,
-    representatives and sift residues are image tuples.
+    representatives and sift residues are in the representation of
+    `_kernels(degree)`: 256-byte strings up to degree 256, image tuples
+    above; `encode` and `decode` convert image tuples to and from it.
     """
 
     def __init__(self, generators, degree):
-        self.identity = tuple(range(degree))
-        self.gens: list[list[tuple]] = [[] for _ in range(degree + 1)]
+        self.encode, self.decode, self.compose, self.invert, self.identity = _kernels(degree)
+        self.gens: list[list[bytes | tuple]] = [[] for _ in range(degree + 1)]
         self.transversals = [{b: self.identity} for b in range(degree)]
         self.depth = 0
-        self._absorb([g.images for g in generators])
+        self._absorb([self.encode(g.images) for g in generators])
 
     def _absorb(self, generators) -> None:
         """Knuth's procedures A and B as one worklist, so nothing recurses.
@@ -153,6 +187,7 @@ class _StabilizerChain:
         the later of the two appears, and nothing restarts.
         """
         # forward representatives; each level starts at the identity, its own inverse
+        compose, invert = self.compose, self.invert
         reps = [dict(tr) for tr in self.transversals]
         work = [(0, g, True) for g in reversed(generators)]
         while work:
@@ -160,32 +195,33 @@ class _StabilizerChain:
             if is_gen:
                 if self.strip(p) != self.identity:
                     self.gens[level].append(p)
-                    work.extend((level, _compose(p, u), False) for u in reps[level].values())
+                    work.extend((level, compose(p, u), False) for u in reps[level].values())
                 continue
             img = p[level]
             inv = self.transversals[level].get(img)
             if inv is None:
                 reps[level][img] = p
-                self.transversals[level][img] = _invert(p)
+                self.transversals[level][img] = invert(p)
                 self.depth = max(self.depth, level + 1)
-                work.extend((level, _compose(g, p), False) for g in self.gens[level])
+                work.extend((level, compose(g, p), False) for g in self.gens[level])
             else:
-                work.append((level + 1, _compose(inv, p), True))
+                work.append((level + 1, compose(inv, p), True))
 
-    def strip(self, images: tuple) -> tuple:
-        """Sift an image tuple through the levels; the residue is the
-        identity iff it is in the group.  A level whose base point it fixes
-        has the identity as its representative and is skipped.  A level
-        from `depth` on either is skipped or ends the sift unchanged, so
-        the walk stops there."""
+    def strip(self, p):
+        """Sift an encoded permutation through the levels; the residue is
+        the identity iff it is in the group.  A level whose base point it
+        fixes has the identity as its representative and is skipped.  A
+        level from `depth` on either is skipped or ends the sift unchanged,
+        so the walk stops there."""
+        compose = self.compose
         for b, tr in enumerate(self.transversals[: self.depth]):
-            img = images[b]
+            img = p[b]
             if img != b:
                 inv = tr.get(img)
                 if inv is None:
                     break
-                images = _compose(inv, images)
-        return images
+                p = compose(inv, p)
+        return p
 
 
 @dataclass(frozen=True)
@@ -263,7 +299,7 @@ class PermutationGroup:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
         chain = self._chain()
-        return chain.strip(p.images) == chain.identity
+        return chain.strip(chain.encode(p.images)) == chain.identity
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -273,7 +309,10 @@ class PermutationGroup:
         (Schreier's lemma); no stabilizer chain is built."""
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
-        return PermutationGroup(map(Permutation, self._schreier_generators(point)), self.degree)
+        _, decode, *_ = _kernels(self.degree)
+        return PermutationGroup(
+            (Permutation(decode(h)) for h in self._schreier_generators(point)), self.degree
+        )
 
     def subdegrees(self, point: int = 0) -> list[int]:
         """Sorted orbit lengths of the stabilizer of point (G transitive)."""
@@ -293,17 +332,19 @@ class PermutationGroup:
         skipped.  Every generator fixes point, so once the classes are
         {point} and the rest, no later one can change them.
         """
+        encode, decode, compose, _, roots = _kernels(self.degree)
         parent = list(range(self.degree))
-        roots = tuple(range(self.degree))
+        classes = self.degree
         for h in self._schreier_generators(point):
-            if _compose(roots, h) == roots:
+            if compose(roots, h) == roots:
                 continue
-            for x, y in enumerate(h):
-                _union(parent, x, y)
-            roots = tuple(_find(parent, x) for x in range(self.degree))
-            if len(set(roots)) == 2:
+            for x, y in zip(range(self.degree), h):
+                if _union(parent, x, y):
+                    classes -= 1
+            roots = encode(_find(parent, x) for x in range(self.degree))
+            if classes == 2:
                 break
-        return roots
+        return decode(roots)
 
     def _congruence(self, points) -> list[int]:
         """The finest G-invariant partition that has `points` in one class,
@@ -360,8 +401,8 @@ class PermutationGroup:
 
     def _schreier_generators(self, point: int):
         """The nontrivial Schreier generators of the stabilizer of `point`,
-        as image tuples, made one at a time (Seress, *Permutation Group
-        Algorithms*, 2003, 4.1).
+        encoded as `_kernels(degree)` encodes, made one at a time (Seress,
+        *Permutation Group Algorithms*, 2003, 4.1).
 
         A breadth-first search over the generators gives u[x], carrying
         point to x, and its inverse t[x] for every x in the orbit.  Each
@@ -369,9 +410,9 @@ class PermutationGroup:
         point.  The deepest points come first: their representatives are
         the longest words.
         """
-        identity = tuple(range(self.degree))
-        gens = [g.images for g in self.generators]
-        pairs = [(s, _invert(s)) for s in gens]  # each inverse built once
+        encode, _, compose, invert, identity = _kernels(self.degree)
+        gens = [encode(g.images) for g in self.generators]
+        pairs = [(s, invert(s)) for s in gens]  # each inverse built once
         u = {point: identity}
         t = {point: identity}
         queue = [point]
@@ -379,12 +420,12 @@ class PermutationGroup:
             for s, s_inv in pairs:
                 y = s[x]
                 if y not in u:
-                    u[y] = _compose(s, u[x])
-                    t[y] = _compose(t[x], s_inv)
+                    u[y] = compose(s, u[x])
+                    t[y] = compose(t[x], s_inv)
                     queue.append(y)
         for x in reversed(queue):
             for s in gens:
-                h = _compose(t[s[x]], _compose(s, u[x]))
+                h = compose(t[s[x]], compose(s, u[x]))
                 if h != identity:
                     yield h
 
@@ -476,10 +517,14 @@ def parse_header(line: str, keyword: str, source) -> int:
 
 
 def parse_group_text(text: str, source) -> PermutationGroup:
-    """Parse group-file text: a `degree N` header (N >= 1), then one
-    generator per line.  `source` names the file in error messages."""
+    """Parse group-file text: a `degree N` header (1 <= N <= MAX_DEGREE),
+    then one generator per line.  `source` names the file in error
+    messages."""
     header_line, newline, body = text.partition("\n")
     degree = parse_header(header_line, "degree", source)
+    if degree > MAX_DEGREE:
+        # every generator is a dense image list of length degree
+        raise ValueError(f"{source}: degree {degree} exceeds the limit {MAX_DEGREE}")
     try:
         # the header's line stays in, blank, so errors give the file's line numbers
         return parse_generators(newline + body, degree)

@@ -7,8 +7,9 @@ admissibility by a full range scan, flag-transitivity in two steps (point
 orbit, then blocks through a point), difference sets by subset search on
 element labels, GF(p^a) tables by schoolbook products of digit tuples,
 projective spaces by a dot product per pair of points found by filtering
-all of GF(q)^n, and subdegrees by the orbits of the elements that fix the
-point.  Two exceptions call the library:
+all of GF(q)^n, subdegrees by the orbits of the elements that fix the
+point, and minimal blocks of large degree as components of an orbital
+graph.  Two exceptions call the library:
 scan_is_primitive calls its minimal_block for every point, to pin which
 witness is_primitive returns when it tests only some of them, and
 chain_stabilizer takes a point stabilizer from the level-1 generators of a
@@ -185,6 +186,25 @@ def brute_minimal_block(generators, degree, alpha, beta, elements=None):
     return frozenset(range(degree))
 
 
+def brute_orbital_block(elements, alpha, beta):
+    """Smallest block containing {alpha, beta}, where `elements` is the
+    whole group as image tuples: the connected component of alpha in the
+    graph with an edge {g(alpha), g(beta)} for every element g (Higman,
+    1967).  Its cost is linear in |G|, so it serves at any degree."""
+    adjacent: dict[int, set[int]] = {}
+    for g in elements:
+        a, b = g[alpha], g[beta]
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    component = {alpha}
+    queue = [alpha]
+    for x in queue:
+        for y in adjacent[x] - component:
+            component.add(y)
+            queue.append(y)
+    return frozenset(component)
+
+
 def scan_is_primitive(G):
     """is_primitive by minimal_block(0, beta) for every beta in ascending
     order, developing the first smallest proper block found."""
@@ -206,12 +226,15 @@ def chain_stabilizer(G, point):
     """The stabilizer of point, read from a stabilizer chain: conjugate G by
     the transposition t of 0 and point, so that point becomes the chain's
     first base point, take the generators of the chain's level 1 (the
-    stabilizer of 0) and conjugate them back by t."""
+    stabilizer of 0), decoded to image tuples by the chain, and conjugate
+    them back by t."""
     swap = list(range(G.degree))
     swap[0], swap[point] = point, 0
     t = Permutation(swap)
     moved = PermutationGroup([t * g * t for g in G.generators], G.degree)
-    return PermutationGroup([t * Permutation(h) * t for h in moved._chain().gens[1]], G.degree)
+    chain = moved._chain()
+    stabilizer = [t * Permutation(chain.decode(h)) * t for h in chain.gens[1]]
+    return PermutationGroup(stabilizer, G.degree)
 
 
 def chain_subdegrees(G, point):

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import symdesign
 from symdesign import elimination
 from symdesign.algebra import factorize
 from symdesign.cli import build_parser, main
 from symdesign.design import read_design_file
-from symdesign.perm import read_group_file
+from symdesign.perm import MAX_DEGREE, read_group_file
 
 
 def run(capsys, *argv):
@@ -257,6 +262,40 @@ def test_group_bad_generator_line(capsys, tmp_path, body, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {g_file}: {message}\n"
+
+
+def test_group_degree_limit(capsys, tmp_path):
+    g_file = tmp_path / "g.grp"
+    g_file.write_text(f"degree {MAX_DEGREE}\n(1,2)\n")
+    assert run(capsys, "group", "order", str(g_file)) == (0, "2\n", "")
+    g_file.write_text(f"degree {MAX_DEGREE + 1}\n(1,2)\n")
+    message = f"error: {g_file}: degree {MAX_DEGREE + 1} exceeds the limit {MAX_DEGREE}\n"
+    assert run(capsys, "group", "order", str(g_file)) == (2, "", message)
+
+
+def test_group_huge_degree_exits_before_allocating(tmp_path):
+    """A header far above MAX_DEGREE exits 2 under a 1 GiB address-space
+    limit, in well under a second of CPU time, instead of building an image
+    list of that length."""
+    resource = pytest.importorskip("resource")
+    g_file = tmp_path / "huge.grp"
+    g_file.write_text("degree 1000000000\n(1,2)\n")
+    src = str(Path(symdesign.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symdesign.cli", "group", "order", str(g_file)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {g_file}: degree 1000000000 exceeds the limit {MAX_DEGREE}\n"
+    assert cpu_s < 1.0
 
 
 @pytest.mark.parametrize("v", ["-3", "0", "x"])

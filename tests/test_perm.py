@@ -12,6 +12,7 @@ from oracles import (
     brute_elements,
     brute_group_order,
     brute_minimal_block,
+    brute_orbital_block,
     brute_subdegrees,
     chain_subdegrees,
     scan_is_primitive,
@@ -20,6 +21,7 @@ from symdesign.constructions import load_group
 from symdesign.perm import (
     Permutation,
     PermutationGroup,
+    _kernels,
     _StabilizerChain,
     parse_generators,
     read_group_file,
@@ -327,9 +329,9 @@ def check_strip_depth(G, members, non_members):
     assert all(len(tr) == 1 for tr in chain.transversals[chain.depth:])
     assert chain.depth == 0 or len(chain.transversals[chain.depth - 1]) > 1
     for g, member in [(g, True) for g in members] + [(g, False) for g in non_members]:
-        residue = chain.strip(g.images)
-        assert residue == full_walk_strip(chain, g).images
-        assert (residue == tuple(range(G.degree))) == member
+        residue = chain.strip(chain.encode(g.images))
+        assert residue == chain.encode(full_walk_strip(chain, g).images)
+        assert (chain.decode(residue) == tuple(range(G.degree))) == member
 
 
 def test_strip_depth_cut_small_groups():
@@ -357,6 +359,78 @@ def test_strip_depth_cut_symmetric_30():
         [random_word(rng, H.generators) for _ in range(30)],
         [g for g in randoms if g(29) != 29],
     )
+
+
+# Chains and Schreier generators use 256-byte strings up to degree 256 and
+# image tuples above; these degrees sit on both sides of the switch.
+KERNEL_BOUNDARY = [255, 256, 257]
+
+
+def boundary_groups(degree):
+    """S4 on the last four points, the degree-cycle C_n, and the dihedral
+    group D_n (the cycle and the reflection x -> -x), as (name, group)."""
+    a, b, c, d = range(degree - 3, degree + 1)
+    cycle = Permutation.from_cycles("(" + ",".join(map(str, range(1, degree + 1))) + ")", degree)
+    reflection = Permutation([-x % degree for x in range(degree)])
+    return [
+        ("S4", parse_generators(f"({a},{b},{c},{d})\n({c},{d})", degree)),
+        ("C", PermutationGroup([cycle])),
+        ("D", PermutationGroup([cycle, reflection])),
+    ]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 31, *KERNEL_BOUNDARY])
+def test_kernels_match_image_tuples(degree):
+    rng = random.Random(degree)
+    encode, decode, compose, invert, identity = _kernels(degree)
+    assert type(identity) is (bytes if degree <= 256 else tuple)
+    assert decode(identity) == tuple(range(degree))
+    for _ in range(20):
+        a = tuple(rng.sample(range(degree), degree))
+        b = tuple(rng.sample(range(degree), degree))
+        ea, eb = encode(a), encode(b)
+        assert decode(ea) == a and ea[degree:] == identity[degree:]
+        assert decode(compose(ea, eb)) == tuple(a[x] for x in b)
+        assert compose(invert(ea), ea) == identity == compose(ea, invert(ea))
+
+
+@pytest.mark.parametrize("degree", KERNEL_BOUNDARY)
+def test_chain_at_kernel_boundary(degree):
+    rng = random.Random(degree)
+    for name, G in boundary_groups(degree):
+        elements = brute_elements([g.images for g in G.generators], degree)
+        assert G.order() == len(elements) == {"S4": 24, "C": degree, "D": 2 * degree}[name]
+        assert type(G._chain().identity) is (bytes if degree <= 256 else tuple)
+        members = [Permutation(p) for p in sorted(elements)]
+        swap = Permutation.from_cycles(f"(1,{degree - 4})", degree)
+        non_members = [Permutation(rng.sample(range(degree), degree)) for _ in range(10)]
+        non_members += [g * swap for g in members[:10]] + [swap * g for g in members[-10:]]
+        non_members = [g for g in non_members if g.images not in elements]
+        assert len(non_members) >= 20
+        assert all(G.contains(g) for g in members)
+        assert not any(G.contains(g) for g in non_members)
+        check_strip_depth(G, members, non_members)
+
+
+@pytest.mark.parametrize("degree", KERNEL_BOUNDARY)
+def test_stabilizers_at_kernel_boundary(degree):
+    for name, G in boundary_groups(degree)[1:]:
+        elements = brute_elements([g.images for g in G.generators], degree)
+        for point in (0, 1, degree // 2, degree - 1):
+            assert G.subdegrees(point) == brute_subdegrees(elements, point)
+            stab = G.point_stabilizer(point)
+            assert all(g(point) == point and g.images in elements for g in stab.generators)
+            assert stab.order() == sum(1 for g in elements if g[point] == point)
+        primitive, system = G.is_primitive()
+        blocks = {brute_orbital_block(elements, 0, beta) for beta in range(1, degree)}
+        assert primitive == (blocks == {frozenset(range(degree))}) == (degree == 257)
+        assert (primitive, system) == scan_is_primitive(G)
+        if not primitive:
+            smallest = min(len(b) for b in blocks)
+            assert system.class_size == smallest
+            assert system.classes()[0] in blocks
+            for g in G.generators:
+                assert {g.image(cls) for cls in system.classes()} == set(system.classes())
 
 
 def is_even(g):
@@ -525,7 +599,7 @@ def test_blocks_and_primitivity_vs_brute_random_groups(case):
     elements = brute_elements(raw, degree)
     blocks = [brute_minimal_block(raw, degree, 0, beta, elements) for beta in range(1, degree)]
     for beta, blk in enumerate(blocks, start=1):
-        assert G.minimal_block(0, beta) == blk, beta
+        assert G.minimal_block(0, beta) == blk == brute_orbital_block(elements, 0, beta), beta
     if {p[0] for p in elements} == set(range(degree)):
         primitive, system = G.is_primitive()
         assert primitive == all(len(blk) == degree for blk in blocks)
