@@ -27,7 +27,7 @@ from .perm import PermutationGroup, parse_group_text
 MAX_INCIDENCES = 1 << 24
 
 
-def pg_points(n: int, F: FieldTable) -> list[tuple[int, ...]]:
+def pg_points(n: int, q: int) -> list[tuple[int, ...]]:
     """Normalized representatives of the 1-spaces of GF(q)^n.
 
     Each point is the vector in its line whose first nonzero coordinate is
@@ -37,7 +37,7 @@ def pg_points(n: int, F: FieldTable) -> list[tuple[int, ...]]:
     return [
         (0,) * i + (1,) + rest
         for i in range(n - 1, -1, -1)
-        for rest in product(range(F.q), repeat=n - 1 - i)
+        for rest in product(range(q), repeat=n - 1 - i)
     ]
 
 
@@ -79,7 +79,7 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
             rest = every[t[1:]]
             every[t] = b"".join([rest.translate(plus[s]) for s in mul[t[0]]])
             dots[t] = dots[t[1:]] + rest.translate(plus[t[0]])
-    pts = pg_points(n, F)
+    pts = pg_points(n, q)
     points = list(range(len(pts)))  # one int object per point, shared by all blocks
     is_zero = b"\1" + bytes(255)  # translate table: 0 -> 1, else 0
 

@@ -485,51 +485,41 @@ def orbit_of(seed, generators, act) -> set:
     return seen
 
 
-def parse_generators(text: str, degree: int) -> PermutationGroup:
-    """Build a group from whitespace/newline-separated cycle-notation words.
-
-    Each nonempty line is one generator.  An empty text gives the trivial
-    group.  A bad generator raises ValueError naming its line of `text`,
-    counted from 1.
-    """
-    gens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line:
-            try:
-                gens.append(Permutation.from_cycles(line, degree))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return PermutationGroup(gens, degree)
-
-
 def parse_header(line: str, keyword: str, source) -> int:
     """N from a `keyword N` header line of a group or design file, where N
     must be a decimal integer >= 1.  `source` names the file in errors."""
     fields = line.split()
     if len(fields) != 2 or fields[0] != keyword:
         raise ValueError(f"{source}: expected '{keyword} N' header")
-    if not fields[1].isdecimal() or int(fields[1]) < 1:
+    try:
+        n = int(fields[1]) if fields[1].isdecimal() else 0
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ValueError(f"{source}: bad header: {keyword} has too many digits") from None
+    if n < 1:
         raise ValueError(
             f"{source}: bad header {line.strip()!r}: {keyword} must be an integer >= 1"
         )
-    return int(fields[1])
+    return n
 
 
 def parse_group_text(text: str, source) -> PermutationGroup:
     """Parse group-file text: a `degree N` header (1 <= N <= MAX_DEGREE),
-    then one generator per line.  `source` names the file in error
-    messages."""
-    header_line, newline, body = text.partition("\n")
+    then one generator per nonblank line.  Errors name `source` and, for a
+    bad generator, its line of the file."""
+    header_line, _, body = text.partition("\n")
     degree = parse_header(header_line, "degree", source)
     if degree > MAX_DEGREE:
         # every generator is a dense image list of length degree
         raise ValueError(f"{source}: degree {degree} exceeds the limit {MAX_DEGREE}")
-    try:
-        # the header's line stays in, blank, so errors give the file's line numbers
-        return parse_generators(newline + body, degree)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    gens = []
+    for lineno, line in enumerate(body.splitlines(), start=2):
+        line = line.strip()
+        if line:
+            try:
+                gens.append(Permutation.from_cycles(line, degree))
+            except ValueError as exc:
+                raise ValueError(f"{source}: line {lineno}: {exc}") from None
+    return PermutationGroup(gens, degree)
 
 
 def read_group_file(path) -> PermutationGroup:

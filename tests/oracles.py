@@ -16,6 +16,8 @@ chain_stabilizer takes a point stabilizer from the level-1 generators of a
 stabilizer chain, not from the Schreier generators that subdegrees and
 point_stabilizer use, so that chain_subdegrees and flag_transitive_two_step
 check those against the chain and not against themselves.
+group_from_text is no oracle: it builds test groups through the library's
+group-file parser.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from symdesign.algebra import FieldTable, PrimePower
-from symdesign.perm import Permutation, PermutationGroup
+from symdesign.perm import Permutation, PermutationGroup, parse_group_text
+
+
+def group_from_text(text, degree):
+    """The group of a group file's body: one cycle-notation generator per line."""
+    return parse_group_text(f"degree {degree}\n{text}", "<test>")
 
 
 def sieve_primes(limit: int) -> list[bool]:

@@ -12,6 +12,7 @@ from oracles import (
     brute_group_order,
     brute_minimal_block,
     brute_verify_symmetric,
+    group_from_text,
 )
 from symdesign.algebra import is_prime
 from symdesign.constructions import catalog, load_group, pg_params, projective_space
@@ -209,15 +210,13 @@ def test_criterion_7_oracle_equivalence():
         checked += 1
 
     # minimal blocks vs exhaustive search, degree <= 12
-    from symdesign.perm import parse_generators
-
     for text, degree in (
         ("(1,2,3,4,5,6,7,8,9,10,11,12)", 12),
         ("(1,2,3,4,5,6)\n(1,4)(2,3)(5,6)", 6),
         ("(1,2,3)(4,5,6)(7,8,9)\n(1,4,7)(2,5,8)(3,6,9)", 9),
         ("(1,2,3,4,5,6,7,8)", 8),
     ):
-        G = parse_generators(text, degree)
+        G = group_from_text(text, degree)
         raw = [g.images for g in G.generators]
         for beta in range(1, degree):
             assert G.minimal_block(0, beta) == brute_minimal_block(

@@ -202,6 +202,12 @@ def test_verify_one_point_design_is_trivial(capsys, tmp_path):
     assert run(capsys, "verify", str(d_file)) == (0, "symmetric (1,1,0) (trivial)\n", "")
 
 
+def test_verify_skips_blank_lines(capsys, tmp_path):
+    d_file = tmp_path / "blank.design"
+    d_file.write_text("v 3\n\n1,2\n\n2,3\n1,3\n")
+    assert run(capsys, "verify", str(d_file)) == (0, "symmetric (3,2,1) (trivial)\n", "")
+
+
 def test_group_queries(capsys, tmp_path):
     g_file = tmp_path / "g.grp"
     run(capsys, "construct", "imprimitive_45_12_3", "--group-out", str(g_file))
@@ -296,6 +302,20 @@ def test_group_huge_degree_exits_before_allocating(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {g_file}: degree 1000000000 exceeds the limit {MAX_DEGREE}\n"
     assert cpu_s < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, keyword", [(["group", "order"], "degree"), (["verify"], "v")], ids=["group", "design"]
+)
+def test_header_number_too_long_for_int(capsys, tmp_path, argv, keyword):
+    # int() refuses strings longer than the interpreter's digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts decimal strings of any length here")
+    path = tmp_path / "long.txt"
+    path.write_text(f"{keyword} {'9' * (limit + 1)}\n")
+    message = f"error: {path}: bad header: {keyword} has too many digits\n"
+    assert run(capsys, *argv, str(path)) == (2, "", message)
 
 
 @pytest.mark.parametrize("v", ["-3", "0", "x"])

@@ -4,7 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_first_bad_pair, brute_verify_symmetric, flag_transitive_two_step
+from oracles import (
+    brute_first_bad_pair,
+    brute_verify_symmetric,
+    flag_transitive_two_step,
+    group_from_text,
+)
 from symdesign.constructions import catalog, load_group, projective_space
 from symdesign.design import (
     DesignError,
@@ -15,7 +20,7 @@ from symdesign.design import (
     read_design_file,
     write_design_file,
 )
-from symdesign.perm import Permutation, parse_generators
+from symdesign.perm import Permutation
 
 FANO_BLOCKS = [
     (0, 1, 2),
@@ -199,7 +204,7 @@ def test_flag_transitivity_methods_agree_on_negative():
     # point stabilizer is trivial, so not flag-transitive (21 flags > 7)
     cyclic_fano = [(i % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
     D = IncidenceStructure(7, cyclic_fano)
-    G = parse_generators("(1,2,3,4,5,6,7)", 7)
+    G = group_from_text("(1,2,3,4,5,6,7)", 7)
     assert all(D.is_automorphism(g) for g in G.generators)
     assert not is_flag_transitive(G, D)
     assert not flag_transitive_two_step(G, D)
@@ -207,10 +212,10 @@ def test_flag_transitivity_methods_agree_on_negative():
 
 def test_flag_transitive_rejects_non_automorphism():
     D = IncidenceStructure(7, FANO_BLOCKS)
-    G = parse_generators("(1,2)", 7)
+    G = group_from_text("(1,2)", 7)
     with pytest.raises(ValueError):
         is_flag_transitive(G, D)
-    G = parse_generators("(1,2,3)(4,6,5)\n(1,2)(3,4)\n(1,2)", 7)
+    G = group_from_text("(1,2,3)(4,6,5)\n(1,2)(3,4)\n(1,2)", 7)
     with pytest.raises(ValueError, match=r"^generator \(1,2\)\(3,4\) is not an automorphism$"):
         is_flag_transitive(G, D)
 

@@ -446,3 +446,12 @@ def test_run_row_detects_mismatch():
     rep = run_row(bogus)
     assert rep.status == "FAIL"
     assert "expected" in rep.note
+
+
+def test_run_row_reports_scan_error_as_inconclusive(monkeypatch):
+    def fail(v, k_bound, required_lambda):
+        raise ValueError("factorization gave up")
+
+    monkeypatch.setattr(elimination, "admissible", fail)
+    rep = run_row(load_catalog()[0])
+    assert (rep.pairs, rep.status, rep.note) == ((), "INCONCLUSIVE", "factorization gave up")

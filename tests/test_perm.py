@@ -15,6 +15,7 @@ from oracles import (
     brute_orbital_block,
     brute_subdegrees,
     chain_subdegrees,
+    group_from_text,
     scan_is_primitive,
 )
 from symdesign.constructions import load_group
@@ -23,7 +24,6 @@ from symdesign.perm import (
     PermutationGroup,
     _kernels,
     _StabilizerChain,
-    parse_generators,
     read_group_file,
     write_group_file,
 )
@@ -50,7 +50,7 @@ def test_parse_sigma1():
 
 
 def test_parse_empty_is_identity():
-    G = parse_generators("", 5)
+    G = group_from_text("", 5)
     assert G.order() == 1
     assert G.orbit(3) == {3}
 
@@ -80,6 +80,40 @@ def test_constructor_rejects_non_bijection(images):
         Permutation(images)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: PermutationGroup([]),
+            "degree required for an empty generator list",
+            id="no-generators",
+        ),
+        pytest.param(
+            lambda: PermutationGroup([Permutation([1, 0]), Permutation([0, 2, 1])]),
+            "generator degree mismatch",
+            id="generator-degrees",
+        ),
+        pytest.param(lambda: group_from_text("(1,2,3)", 3).orbit(3), "point out of range", id="orbit"),
+        pytest.param(
+            lambda: group_from_text("(1,2,3)", 3).point_stabilizer(3),
+            "point out of range",
+            id="point_stabilizer",
+        ),
+        pytest.param(
+            lambda: group_from_text("(1,2,3)", 3).minimal_block(1, 1),
+            "alpha and beta must differ",
+            id="minimal_block",
+        ),
+        pytest.param(
+            lambda: Permutation([1, 0]) * Permutation([0, 1, 2]), "degree mismatch", id="product"
+        ),
+    ],
+)
+def test_bad_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 9).flatmap(
@@ -106,12 +140,12 @@ def test_orbit_sigma_group_transitive():
 
 
 def test_orbit_fixed_point():
-    G = parse_generators("(1,2)", 4)
+    G = group_from_text("(1,2)", 4)
     assert G.orbit(2) == {2}
 
 
 def test_order_sym3():
-    G = parse_generators("(1,2)\n(1,2,3)", 3)
+    G = group_from_text("(1,2)\n(1,2,3)", 3)
     assert G.order() == 6
 
 
@@ -124,7 +158,7 @@ def test_order_psu42():
 
 
 def test_contains():
-    G = parse_generators("(1,2,3)", 3)
+    G = group_from_text("(1,2,3)", 3)
     assert G.contains(Permutation.from_cycles("(1,3,2)", 3))
     assert not G.contains(Permutation.from_cycles("(1,2)", 3))
     S = load_group("sigma45.grp")
@@ -142,7 +176,7 @@ def test_contains():
 
 
 def test_contains_degree_mismatch():
-    G = parse_generators("(1,2,3)", 3)
+    G = group_from_text("(1,2,3)", 3)
     with pytest.raises(ValueError):
         G.contains(Permutation.identity(4))
 
@@ -158,7 +192,7 @@ def test_contains_generator_products():
 
 
 def test_point_stabilizer_sym3():
-    G = parse_generators("(1,2)\n(1,2,3)", 3)
+    G = group_from_text("(1,2)\n(1,2,3)", 3)
     assert G.point_stabilizer(0).order() == 2
 
 
@@ -170,7 +204,7 @@ def test_point_stabilizer_sigma():
 
 
 def test_point_stabilizer_identity_group():
-    G = parse_generators("", 4)
+    G = group_from_text("", 4)
     assert G.point_stabilizer(2).order() == 1
 
 
@@ -248,7 +282,7 @@ def test_orbits_vs_brute_closure():
 
 
 def test_orbits_linear_in_degree():
-    G = parse_generators("(1,2)", 20_000)
+    G = group_from_text("(1,2)", 20_000)
     start = time.perf_counter()
     orbits = G.orbits()
     assert time.perf_counter() - start < 1.0
@@ -268,7 +302,7 @@ def test_one_chain_per_group():
 
 def test_deep_chain_symmetric_30():
     # a 30-level chain: every base point has a full orbit
-    G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
+    G = group_from_text("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
     assert G.order() == factorial(30)
     assert G.point_stabilizer(29).order() == factorial(29)
 
@@ -348,7 +382,7 @@ def test_strip_depth_cut_small_groups():
 
 def test_strip_depth_cut_symmetric_30():
     rng = random.Random(30)
-    G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
+    G = group_from_text("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
     randoms = [Permutation(rng.sample(range(30), 30)) for _ in range(60)]
     check_strip_depth(G, randoms, [])
     # the stabilizer of the last point: its chain is trivial from level 28 on,
@@ -373,7 +407,7 @@ def boundary_groups(degree):
     cycle = Permutation.from_cycles("(" + ",".join(map(str, range(1, degree + 1))) + ")", degree)
     reflection = Permutation([-x % degree for x in range(degree)])
     return [
-        ("S4", parse_generators(f"({a},{b},{c},{d})\n({c},{d})", degree)),
+        ("S4", group_from_text(f"({a},{b},{c},{d})\n({c},{d})", degree)),
         ("C", PermutationGroup([cycle])),
         ("D", PermutationGroup([cycle, reflection])),
     ]
@@ -473,7 +507,7 @@ def test_pgl_7_2_on_127_points():
 
 
 def test_subdegrees_sym3():
-    G = parse_generators("(1,2)\n(1,2,3)", 3)
+    G = group_from_text("(1,2)\n(1,2,3)", 3)
     assert G.subdegrees(0) == [1, 2]
 
 
@@ -495,20 +529,20 @@ def test_subdegrees_psu42():
 
 
 def test_subdegrees_requires_transitive():
-    G = parse_generators("(1,2)", 4)
+    G = group_from_text("(1,2)", 4)
     with pytest.raises(ValueError):
         G.subdegrees(0)
 
 
 def test_subdegrees_rejects_point_out_of_range():
-    G = parse_generators("(1,2,3,4,5)", 5)
+    G = group_from_text("(1,2,3,4,5)", 5)
     for point in (-1, 5):
         with pytest.raises(ValueError, match="point out of range"):
             G.subdegrees(point)
     # transitivity is checked first
     for point in (0, -1, 4):
         with pytest.raises(ValueError, match="subdegrees require a transitive group"):
-            parse_generators("(1,2)", 4).subdegrees(point)
+            group_from_text("(1,2)", 4).subdegrees(point)
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -525,13 +559,13 @@ def test_subdegrees_build_no_chain(n):
 def test_subdegrees_degree_one_and_two():
     assert PermutationGroup([], 1).subdegrees(0) == [1]
     assert PermutationGroup([Permutation.identity(1)]).subdegrees(0) == [1]
-    G = parse_generators("(1,2)", 2)
+    G = group_from_text("(1,2)", 2)
     assert G.subdegrees(0) == G.subdegrees(1) == [1, 1]
 
 
 def test_subdegrees_regular_group():
     # every Schreier generator of a regular group is the identity
-    Z13 = parse_generators("(" + ",".join(map(str, range(1, 14))) + ")", 13)
+    Z13 = group_from_text("(" + ",".join(map(str, range(1, 14))) + ")", 13)
     for p in range(13):
         assert Z13.subdegrees(p) == [1] * 13
 
@@ -556,7 +590,7 @@ def test_minimal_block_sigma_exact():
 
 
 def test_minimal_block_cyclic4():
-    G = parse_generators("(1,2,3,4)", 4)
+    G = group_from_text("(1,2,3,4)", 4)
     assert G.minimal_block(0, 2) == {0, 2}
 
 
@@ -576,7 +610,7 @@ def test_minimal_block_vs_brute_force():
         ("", 3),
     ]
     for text, degree in cases:
-        G = parse_generators(text, degree)
+        G = group_from_text(text, degree)
         raw = [g.images for g in G.generators]
         for beta in range(1, degree):
             assert G.minimal_block(0, beta) == brute_minimal_block(
@@ -665,9 +699,9 @@ def scan_cases():
         cases[f"PGL{n}_2"] = PermutationGroup(relabelled(pgl2_generators(n), rng))
     for a, b in ((2, 4), (3, 3), (4, 2)):
         cases[f"S{a}wrS{b}"] = PermutationGroup(wreath_generators(a, b))
-    cases["Z12"] = parse_generators("(" + ",".join(map(str, range(1, 13))) + ")", 12)
-    cases["Z3xZ3"] = parse_generators("(1,2,3)(4,5,6)(7,8,9)\n(1,4,7)(2,5,8)(3,6,9)", 9)
-    cases["Z2xZ2xZ2"] = parse_generators(
+    cases["Z12"] = group_from_text("(" + ",".join(map(str, range(1, 13))) + ")", 12)
+    cases["Z3xZ3"] = group_from_text("(1,2,3)(4,5,6)(7,8,9)\n(1,4,7)(2,5,8)(3,6,9)", 9)
+    cases["Z2xZ2xZ2"] = group_from_text(
         "(1,2)(3,4)(5,6)(7,8)\n(1,3)(2,4)(5,7)(6,8)\n(1,5)(2,6)(3,7)(4,8)", 8
     )
     for entry in resources.files("symdesign.data").iterdir():
@@ -778,16 +812,16 @@ def test_is_primitive_tests_one_point_per_suborbit(monkeypatch, name):
 def test_is_primitive_degree_one_and_two():
     assert PermutationGroup([], 1).is_primitive() == (True, None)
     assert PermutationGroup([Permutation.identity(1)]).is_primitive() == (True, None)
-    assert parse_generators("(1,2)", 2).is_primitive() == (True, None)
-    assert parse_generators("()\n(1,2)", 2).is_primitive() == (True, None)
+    assert group_from_text("(1,2)", 2).is_primitive() == (True, None)
+    assert group_from_text("()\n(1,2)", 2).is_primitive() == (True, None)
 
 
 def test_is_primitive_regular_groups(monkeypatch):
     # a regular group's point stabilizer is trivial, so every Schreier
     # generator is the identity and every beta is tested
-    Z13 = parse_generators("(" + ",".join(map(str, range(1, 14))) + ")", 13)
+    Z13 = group_from_text("(" + ",".join(map(str, range(1, 14))) + ")", 13)
     assert assert_matches_scan(Z13) == (True, None)
-    Z12 = parse_generators("(" + ",".join(map(str, range(1, 13))) + ")", 12)
+    Z12 = group_from_text("(" + ",".join(map(str, range(1, 13))) + ")", 12)
     primitive, system = assert_matches_scan(Z12)
     assert not primitive and system.classes()[0] == {0, 6}
     assert count_minimal_block_calls(monkeypatch, Z12)[1] == 11
@@ -804,7 +838,7 @@ def test_is_primitive_identity_and_repeated_generators():
 
 def test_is_primitive_rejects_intransitive_group():
     with pytest.raises(ValueError, match="primitivity requires a transitive group"):
-        parse_generators("(1,2,3)", 4).is_primitive()
+        group_from_text("(1,2,3)", 4).is_primitive()
 
 
 def test_block_system_rejects_non_block():
@@ -813,13 +847,13 @@ def test_block_system_rejects_non_block():
         G.block_system({0, 1})
     # the class of {2, 3} is every point, so its least point is 0, not 2
     with pytest.raises(ValueError, match="set is not a block"):
-        parse_generators("(1,2,3,4,5,6)", 6).block_system({2, 3})
+        group_from_text("(1,2,3,4,5,6)", 6).block_system({2, 3})
 
 
 def test_block_system_rejects_large_non_block_fast():
     # S_30 moves {0..9} onto C(30, 10) distinct sets; the union-find never
     # builds them
-    G = parse_generators("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
+    G = group_from_text("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="set is not a block"):
         G.block_system(range(10))
@@ -829,7 +863,7 @@ def test_block_system_rejects_large_non_block_fast():
 def test_block_system_rejects_intransitive_group():
     # {0, 2} is a block of <(1,2,3,4)> on 6 points, but points 4 and 5 lie
     # in no image of it
-    G = parse_generators("(1,2,3,4)", 6)
+    G = group_from_text("(1,2,3,4)", 6)
     with pytest.raises(ValueError, match="block orbit does not cover all points"):
         G.block_system({0, 2})
     assert G.block_system({0, 1, 2, 3, 4, 5}).num_classes == 1

@@ -67,8 +67,7 @@ def make_sigma45() -> None:
 
 def make_psl2_7() -> None:
     """GL(3,2) ~ PSL(2,7) acting on the 7 points of PG(2,2)."""
-    F = FieldTable(PrimePower(2, 1))
-    pts = pg_points(3, F)
+    pts = pg_points(3, 2)
     index = {v: i for i, v in enumerate(pts)}
 
     def mat_perm(m):
@@ -145,7 +144,7 @@ def make_psu4_2() -> None:
             s = F.add[s][F.mul[xi][conj(yi)]]
         return s
 
-    pts = pg_points(4, F)
+    pts = pg_points(4, F.q)
     iso = [v for v in pts if h(v, v) == 0]
     assert len(iso) == 45, len(iso)
     index = {v: i for i, v in enumerate(iso)}
