@@ -10,6 +10,7 @@ from the generators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, product
@@ -220,13 +221,24 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     """Lexicographically first (k, lam) difference set containing identity.
 
     Depth-first over ascending element positions, starting at {identity}.
-    Each new element adds its quotients x*y^-1 with the chosen ones to the
-    counts; a partial set is dropped as soon as some count exceeds lam, or
-    when too few positions remain.  Subtrees are visited in
+    Each new element z adds its quotients z*y^-1 and y*z^-1 with the chosen
+    ones y to the counts; a partial set is dropped as soon as some count
+    exceeds lam, or when too few positions remain.  Subtrees are visited in
     itertools.combinations order and pruning removes only subtrees that hold
     no solution, so the first hit is that of the exhaustive search over
     k-subsets.  Intended for |ambient| <= 64.  Returns None when no
     difference set exists.
+
+    The counts are w-bit lanes of one int, lane d for position d, with
+    w = (lam + 2k).bit_length() + 2.  step[y][z] holds the lanes of z*y^-1
+    and y*z^-1, and adds[z] the sum of step[y][z] over the chosen y, so
+    taking z adds adds[z] to the counts in one int addition, and a push
+    rebuilds adds with step[z].  The counts start at bias, 2^(w-1) - 1 - lam
+    in every lane, so a lane reaches its top bit, in the mask high, exactly
+    when its count exceeds lam: (counts + adds[z]) & high tests every lane
+    at once.  A lane never carries into the next: a count stays <= lam, and
+    a candidate adds at most 2 to a lane, since z*y^-1 differs for
+    different y and so does y*z^-1.
     """
     n = len(ambient)
     if n > 64:
@@ -236,30 +248,27 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     if k * (k - 1) != lam * (n - 1):
         return None
     quotient = ambient._quotient
-    counts = [0] * n
+    w = (lam + 2 * k).bit_length() + 2
+    lane = [1 << (w * d) for d in range(n)]
+    step = [[lane[quotient[z][y]] + lane[quotient[y][z]] for z in range(n)] for y in range(n)]
+    ones = sum(lane)
+    bias, high = ((1 << (w - 1)) - 1 - lam) * ones, (1 << (w - 1)) * ones
     chosen = [0]
 
-    def extend(start: int) -> bool:
+    def extend(start: int, counts: int, adds: list[int]) -> bool:
         if len(chosen) == k:
             return True
-        for z in range(start, n - k + len(chosen) + 1):
-            row = quotient[z]
-            added = []
-            for d in [row[y] for y in chosen] + [quotient[y][z] for y in chosen]:
-                counts[d] += 1
-                added.append(d)
-                if counts[d] > lam:
-                    break
-            else:
-                chosen.append(z)
-                if extend(z + 1):
-                    return True
-                chosen.pop()
-            for d in added:
-                counts[d] -= 1
+        for z, added in enumerate(adds[start : n - k + len(chosen) + 1], start):
+            total = counts + added
+            if total & high:
+                continue
+            chosen.append(z)
+            if extend(z + 1, total, list(map(operator.add, adds, step[z]))):
+                return True
+            chosen.pop()
         return False
 
-    if not extend(1):
+    if not extend(1, bias, step[0]):
         return None
     return DifferenceSetSpec(ambient, tuple(ambient.elements[i] for i in chosen))
 

@@ -123,24 +123,36 @@ class IncidenceStructure:
 def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
     """True iff G acts transitively on the flags of D.
 
-    Computed as the orbit of one (point, block position) flag; every
-    generator must be an automorphism of D.  Images of blocks are taken at
-    their first position, so a repeated block leaves flags outside the orbit.
+    Flags are (point, block position) pairs, and every generator must be an
+    automorphism of D.  The image of a block is taken at its first
+    position, so a repeated block leaves the flags on its later copies
+    outside every orbit, and the answer is False.  Otherwise G acts on the
+    points and the block positions together, as a group of degree v + b.
+    With x = min(blocks[0]), G is flag-transitive iff the orbit of x is
+    every point on some block and the stabilizer of x is transitive on the
+    blocks through x: one orbit of the stabilizer, from `_suborbits` and so
+    from Schreier generators (Seress, *Permutation Group Algorithms*, 2003,
+    4.1), holds every block through x.
     """
     if G.degree != D.v:
         raise ValueError("degree mismatch")
-    moves = []
+    v, blocks, position = D.v, D.blocks, D._position
+    combined = []
     for g in G.generators:
         try:
-            moves.append((g.images, [D._position[g.image(b)] for b in D.blocks]))
+            moved = [v + position[g.image(b)] for b in blocks]
         except KeyError:
             raise ValueError(f"generator {g.cycle_string()} is not an automorphism") from None
-    if not D.blocks:
+        combined.append(g.images + tuple(moved))
+    if not blocks:
         raise ValueError("no blocks")
-    flag_total = sum(len(b) for b in D.blocks)
-    start = (min(D.blocks[0]), 0)
-    flags = orbit_of(start, moves, lambda move, flag: (move[0][flag[0]], move[1][flag[1]]))
-    return len(flags) == flag_total
+    if len(position) != len(blocks):
+        return False
+    x = min(blocks[0])
+    if len(G.orbit(x)) != len(frozenset().union(*blocks)):
+        return False
+    roots = PermutationGroup(map(Permutation, combined), v + len(blocks))._suborbits(x)
+    return len({roots[v + j] for j, b in enumerate(blocks) if x in b}) == 1
 
 
 def orbit_design(G: PermutationGroup, base_block) -> IncidenceStructure:

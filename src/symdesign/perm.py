@@ -504,15 +504,21 @@ def parse_header(line: str, keyword: str, source) -> int:
 
 def parse_group_text(text: str, source) -> PermutationGroup:
     """Parse group-file text: a `degree N` header (1 <= N <= MAX_DEGREE),
-    then one generator per nonblank line.  Errors name `source` and, for a
-    bad generator, its line of the file."""
+    then one generator per nonblank line.  Only a line feed ends a line, as
+    in text read with universal newlines, so line numbers are those an
+    editor shows (str.splitlines would also break at form feeds, U+2028
+    and others).  Errors name `source` and, for a bad generator, its line;
+    a degree over the limit is quoted up to 20 digits, and above that only
+    its number of digits."""
     header_line, _, body = text.partition("\n")
     degree = parse_header(header_line, "degree", source)
     if degree > MAX_DEGREE:
         # every generator is a dense image list of length degree
-        raise ValueError(f"{source}: degree {degree} exceeds the limit {MAX_DEGREE}")
+        digits = len(str(degree))
+        shown = f"degree {degree}" if digits <= 20 else f"a degree of {digits} digits"
+        raise ValueError(f"{source}: {shown} exceeds the limit {MAX_DEGREE}")
     gens = []
-    for lineno, line in enumerate(body.splitlines(), start=2):
+    for lineno, line in enumerate(body.split("\n"), start=2):
         line = line.strip()
         if line:
             try:

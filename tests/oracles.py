@@ -4,20 +4,21 @@ These deliberately avoid the library's own algorithms: primality by sieve,
 design verification and the first bad point pair by direct pair counting,
 group order by closure enumeration, minimal blocks by subset search,
 admissibility by a full range scan, flag-transitivity in two steps (point
-orbit, then blocks through a point), difference sets by subset search on
-element labels, GF(p^a) tables by schoolbook products of digit tuples,
-projective spaces by a dot product per pair of points found by filtering
-all of GF(q)^n, subdegrees by the orbits of the elements that fix the
-point, and minimal blocks of large degree as components of an orbital
-graph.  Two exceptions call the library:
+orbit, then blocks through a point) and as the orbit of one flag,
+difference sets by subset search on element labels, GF(p^a) tables by
+schoolbook products of digit tuples, projective spaces by a dot product
+per pair of points found by filtering all of GF(q)^n, subdegrees by the
+orbits of the elements that fix the point, and minimal blocks of large
+degree as components of an orbital graph.  Two exceptions call the
+library:
 scan_is_primitive calls its minimal_block for every point, to pin which
 witness is_primitive returns when it tests only some of them, and
 chain_stabilizer takes a point stabilizer from the level-1 generators of a
 stabilizer chain, not from the Schreier generators that subdegrees and
 point_stabilizer use, so that chain_subdegrees and flag_transitive_two_step
 check those against the chain and not against themselves.
-group_from_text is no oracle: it builds test groups through the library's
-group-file parser.
+group_from_text, pgl2_generators and relabelled are no oracles: they build
+test groups, the first through the library's group-file parser.
 """
 
 from __future__ import annotations
@@ -31,6 +32,32 @@ from symdesign.perm import Permutation, PermutationGroup, parse_group_text
 def group_from_text(text, degree):
     """The group of a group file's body: one cycle-notation generator per line."""
     return parse_group_text(f"degree {degree}\n{text}", "<test>")
+
+
+def pgl2_generators(n):
+    """A transvection and the cyclic permutation matrix, which generate
+    GL(n, 2), acting on PG(n-1, 2): point v - 1 is the nonzero vector of
+    GF(2)^n with bitmask v."""
+
+    def act(rows):
+        images = []
+        for v in range(1, 2**n):
+            w = 0
+            for i in range(n):
+                if v >> i & 1:
+                    w ^= rows[i]
+            images.append(w - 1)
+        return Permutation(images)
+
+    transvection = [0b11] + [1 << i for i in range(1, n)]
+    cycle = [1 << ((i + 1) % n) for i in range(n)]
+    return [act(transvection), act(cycle)]
+
+
+def relabelled(gens, rng):
+    """The generators conjugated by one random relabelling of the points."""
+    relabel = Permutation(rng.sample(range(gens[0].degree), gens[0].degree))
+    return [relabel * g * relabel.inverse() for g in gens]
 
 
 def sieve_primes(limit: int) -> list[bool]:
@@ -282,6 +309,40 @@ def flag_transitive_two_step(G, D) -> bool:
                     nxt.append(img)
         frontier = nxt
     return len(seen) == len(through)
+
+
+def brute_flag_transitive(G, D) -> bool:
+    """True iff G acts transitively on the flags of D, raising ValueError
+    as is_flag_transitive does, with the same messages in the same order.
+
+    The orbit of the flag (min(blocks[0]), 0) under the generators, by a
+    breadth-first search over (point, block position) pairs; a block's image
+    is taken at its first position, so a repeated block leaves flags on its
+    later copies out of the orbit.  Its size is compared with the number of
+    flags."""
+    if G.degree != D.v:
+        raise ValueError("degree mismatch")
+    first = {}
+    for j, blk in enumerate(D.blocks):
+        first.setdefault(blk, j)
+    moves = []
+    for g in G.generators:
+        images = g.images
+        try:
+            moves.append((images, [first[frozenset(images[x] for x in b)] for b in D.blocks]))
+        except KeyError:
+            raise ValueError(f"generator {g.cycle_string()} is not an automorphism") from None
+    if not D.blocks:
+        raise ValueError("no blocks")
+    seen = {(min(D.blocks[0]), 0)}
+    queue = list(seen)
+    for x, j in queue:
+        for points, blocks in moves:
+            flag = (points[x], blocks[j])
+            if flag not in seen:
+                seen.add(flag)
+                queue.append(flag)
+    return len(seen) == sum(len(b) for b in D.blocks)
 
 
 def brute_admissible(v, k_bound, required_lambda=None):

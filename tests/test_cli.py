@@ -259,6 +259,11 @@ def test_group_bad_degree_header(capsys, tmp_path, degree):
     [
         ("(1,2)\n(1,2\n", "line 3: malformed cycle notation: '(1,2'"),
         ("(1,2)\n\n(1,9)\n", "line 4: point 9 out of range 1..5"),
+        # str.splitlines would break at each of these, an editor does not
+        *[
+            (f"(1,2){sep}(3,4)\n(1,9)\n", "line 3: point 9 out of range 1..5")
+            for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+        ],
     ],
 )
 def test_group_bad_generator_line(capsys, tmp_path, body, message):
@@ -268,6 +273,21 @@ def test_group_bad_generator_line(capsys, tmp_path, body, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {g_file}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "digits, shown",
+    [
+        (20, "degree " + "9" * 20),
+        (21, "a degree of 21 digits"),
+        (4300, "a degree of 4300 digits"),
+    ],
+)
+def test_group_degree_over_limit_quoted_up_to_20_digits(capsys, tmp_path, digits, shown):
+    g_file = tmp_path / "g.grp"
+    g_file.write_text(f"degree {'9' * digits}\n(1,2)\n")
+    message = f"error: {g_file}: {shown} exceeds the limit {MAX_DEGREE}\n"
+    assert run(capsys, "group", "order", str(g_file)) == (2, "", message)
 
 
 def test_group_degree_limit(capsys, tmp_path):

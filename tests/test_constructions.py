@@ -260,6 +260,27 @@ def test_find_difference_set_larger_cyclic(n, k, lam, expected):
     assert counts == {g: lam for g in ambient.elements[1:]}
 
 
+@pytest.mark.parametrize(
+    "ambient,k,lam",
+    [
+        pytest.param(ambient, k, lam, id=f"{label}-{k}-{lam}")
+        for label, ambient, k, lam in (
+            # k = n - 1 and k = n give the largest lam + 2k for each order
+            # n, and every lane of the counts ends at lam
+            [(f"Z{n}", cyclic(n), n - 1, n - 2) for n in range(2, 65)]
+            + [(f"Z{n}", cyclic(n), n, n) for n in (1, 2, 23, 64)]
+            + [("Z2^6", constructions.elementary_abelian(2, 6), 63, 62)]
+            + [("Q8xZ2", quaternion8_x_z2(), 15, 14)]
+            # a single element: no differences, so lam = 0
+            + [(f"Z{n}", cyclic(n), 1, 0) for n in (1, 64)]
+        )
+    ],
+)
+def test_find_difference_set_lane_edges(ambient, k, lam):
+    spec = find_difference_set(ambient, k, lam)
+    assert spec.base_set == brute_difference_set(ambient, k, lam)
+
+
 def test_find_difference_set_infeasible_parameters():
     assert find_difference_set(cyclic(11), 4, 2) is None
 

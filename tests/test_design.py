@@ -3,12 +3,16 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_first_bad_pair,
+    brute_flag_transitive,
     brute_verify_symmetric,
     flag_transitive_two_step,
     group_from_text,
+    pgl2_generators,
 )
 from symdesign.constructions import catalog, load_group, projective_space
 from symdesign.design import (
@@ -20,7 +24,7 @@ from symdesign.design import (
     read_design_file,
     write_design_file,
 )
-from symdesign.perm import Permutation
+from symdesign.perm import Permutation, PermutationGroup
 
 FANO_BLOCKS = [
     (0, 1, 2),
@@ -225,6 +229,80 @@ def test_flag_transitive_false_with_repeated_block():
     D = IncidenceStructure(7, inst.design.blocks + inst.design.blocks[2:3])
     assert not is_flag_transitive(inst.group, D)
     assert not flag_transitive_two_step(inst.group, D)
+
+
+def _flag_outcome(flag_test, G, D):
+    """The answer of a flag test, or the message of its ValueError."""
+    try:
+        return flag_test(G, D)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def flag_cases(draw):
+    """A group on 1..7 points and an incidence structure for it.
+
+    Each of the 0..3 generators permutes a random subset of the points and
+    fixes the rest, so the group is often intransitive.  The blocks are a
+    union of orbits of random sets under the generators, so every generator
+    is an automorphism and points may lie on no block.  Then a repeated
+    block or a block from outside those orbits (often making some
+    generator no automorphism) may be added, the structure may get one
+    point more than the group's degree, and the blocks are shuffled."""
+    v = draw(st.integers(1, 7))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        moved = draw(st.lists(st.integers(0, v - 1), unique=True))
+        images = list(range(v))
+        for x, y in zip(moved, draw(st.permutations(moved))):
+            images[x] = y
+        gens.append(Permutation(images))
+    points = st.frozensets(st.integers(0, v - 1), min_size=1)
+    blocks = []
+    for base in draw(st.lists(points, max_size=3)):
+        queue = [base]
+        for blk in queue:
+            for g in gens:
+                if (image := g.image(blk)) not in queue:
+                    queue.append(image)
+        blocks += [blk for blk in queue if blk not in blocks]
+    if blocks and draw(st.booleans()):
+        blocks.append(draw(st.sampled_from(blocks)))
+    if draw(st.integers(0, 3)) == 0:
+        blocks.append(draw(points))
+    extra = draw(st.sampled_from([0, 0, 0, 1]))
+    blocks = draw(st.permutations(blocks))
+    return PermutationGroup(gens, v), IncidenceStructure(v + extra, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_cases())
+def test_flag_transitive_matches_brute_on_random_structures(case):
+    G, D = case
+    assert _flag_outcome(is_flag_transitive, G, D) == _flag_outcome(brute_flag_transitive, G, D)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_flag_transitive_matches_brute_on_relabelled_pg(n):
+    """PGL(n,2) on PG(n-1,2) is flag-transitive; the cyclic permutation
+    matrix alone is not.  At n = 8 points and blocks together are 510, so
+    the test runs on the tuple kernels."""
+    v = 2**n - 1
+    rng = random.Random(n)
+    sigma = Permutation(rng.sample(range(v), v))
+    gens = [sigma * g * sigma.inverse() for g in pgl2_generators(n)]
+    # point x - 1 is the vector with bitmask x, and x lies on a-perp when
+    # a & x has an even number of ones
+    hyperplanes = [
+        [x - 1 for x in range(1, v + 1) if (a & x).bit_count() % 2 == 0] for a in range(1, v + 1)
+    ]
+    blocks = [sigma.image(b) for b in hyperplanes]
+    rng.shuffle(blocks)
+    D = IncidenceStructure(v, blocks)
+    for group, expected in ((gens, True), (gens[1:], False)):
+        G = PermutationGroup(group, v)
+        assert is_flag_transitive(G, D) is brute_flag_transitive(G, D) is expected
 
 
 def test_flag_orbit_size_equals_vk():

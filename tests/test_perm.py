@@ -16,6 +16,8 @@ from oracles import (
     brute_subdegrees,
     chain_subdegrees,
     group_from_text,
+    pgl2_generators,
+    relabelled,
     scan_is_primitive,
 )
 from symdesign.constructions import load_group
@@ -24,6 +26,7 @@ from symdesign.perm import (
     PermutationGroup,
     _kernels,
     _StabilizerChain,
+    parse_group_text,
     read_group_file,
     write_group_file,
 )
@@ -305,32 +308,6 @@ def test_deep_chain_symmetric_30():
     G = group_from_text("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
     assert G.order() == factorial(30)
     assert G.point_stabilizer(29).order() == factorial(29)
-
-
-def pgl2_generators(n):
-    """A transvection and the cyclic permutation matrix, which generate
-    GL(n, 2), acting on PG(n-1, 2): point v - 1 is the nonzero vector of
-    GF(2)^n with bitmask v."""
-
-    def act(rows):
-        images = []
-        for v in range(1, 2**n):
-            w = 0
-            for i in range(n):
-                if v >> i & 1:
-                    w ^= rows[i]
-            images.append(w - 1)
-        return Permutation(images)
-
-    transvection = [0b11] + [1 << i for i in range(1, n)]
-    cycle = [1 << ((i + 1) % n) for i in range(n)]
-    return [act(transvection), act(cycle)]
-
-
-def relabelled(gens, rng):
-    """The generators conjugated by one random relabelling of the points."""
-    relabel = Permutation(rng.sample(range(gens[0].degree), gens[0].degree))
-    return [relabel * g * relabel.inverse() for g in gens]
 
 
 def gl2_order(n):
@@ -893,6 +870,19 @@ def test_group_file_bad_header(tmp_path):
     path.write_text("points 5\n(1,2)\n")
     with pytest.raises(ValueError):
         read_group_file(path)
+
+
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_group_text_lines_end_at_line_feeds_only(separator):
+    # str.splitlines breaks at each of these and an editor does not: the
+    # first generator line holds both cycles, and (1,9) is on line 3
+    text = f"degree 5\n(1,2){separator}(3,4)\n"
+    G = parse_group_text(text, "g.grp")
+    assert [g.cycle_string() for g in G.generators] == ["(1,2)(3,4)"]
+    with pytest.raises(ValueError, match=r"^g\.grp: line 3: point 9 out of range 1\.\.5$"):
+        parse_group_text(text + "(1,9)\n", "g.grp")
 
 
 def test_concurrent_chain_build(monkeypatch):
