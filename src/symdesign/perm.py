@@ -11,8 +11,8 @@ The chain and the Schreier generators multiply and invert permutations
 through the kernels `_kernels(degree)` picks from the degree alone: up to
 degree 256 a permutation is a 256-byte string that fixes every point from
 degree on, composed by `bytes.translate` and inverted by `bytes.maketrans`,
-each one C call; above 256 it is an image tuple.  `Permutation.images` is
-always a tuple.
+each one C call; above 256 it is an image tuple, composed by `_then`.
+`Permutation.images` is always a tuple.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class Permutation:
         """Composition: (self * other)(x) = self(other(x))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(_compose(self.images, other.images))
+        return Permutation(_then(other.images, self.images))
 
     def inverse(self) -> "Permutation":
         return Permutation(_invert(self.images))
@@ -118,8 +118,8 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r})"
 
 
-def _compose(outer: tuple, inner: tuple) -> tuple:
-    """The image tuple of x -> outer[inner[x]]."""
+def _then(inner: tuple, outer: tuple) -> tuple:
+    """The image tuple of x -> outer[inner[x]]: inner, then outer."""
     # itemgetter of a single index returns the bare item, not a 1-tuple; the
     # only bijection of degree 0 or 1 is the identity, so inner is the answer
     return itemgetter(*inner)(outer) if len(inner) > 1 else inner
@@ -137,18 +137,19 @@ _BYTE_IDENTITY = bytes(range(256))
 
 
 def _kernels(degree: int) -> tuple:
-    """(encode, decode, compose, invert, identity) for permutations of
+    """(encode, decode, then, invert, identity) for permutations of
     degree: encode takes an image sequence to the representation, decode
-    gives back the image tuple, and compose and invert act as _compose and
+    gives back the image tuple, and then and invert act as _then and
     _invert.  The representation is a 256-byte string fixing every point
-    from degree on if degree <= 256, else the image tuple."""
+    from degree on if degree <= 256, else the image tuple; then(inner,
+    outer) is then `bytes.translate` itself."""
     if degree > 256:
-        return tuple, tuple, _compose, _invert, tuple(range(degree))
+        return tuple, tuple, _then, _invert, tuple(range(degree))
     tail = _BYTE_IDENTITY[degree:]
     return (
         lambda images: bytes(images) + tail,
         lambda p: tuple(p[:degree]),
-        lambda outer, inner: inner.translate(outer),
+        bytes.translate,
         lambda p: bytes.maketrans(p, _BYTE_IDENTITY),
         _BYTE_IDENTITY,
     )
@@ -161,18 +162,21 @@ class _StabilizerChain:
     level of point i.  gens[i] alone generates the stabilizer of points
     0..i-1 (gens[-1], the stabilizer of every point, stays empty);
     transversals[i] maps each point x of the orbit of i under it to the
-    inverse of a representative carrying i to x.  Levels from `depth` on
-    have only the identity in their transversals.  Generators,
-    representatives and sift residues are in the representation of
-    `_kernels(degree)`: 256-byte strings up to degree 256, image tuples
-    above; `encode` and `decode` convert image tuples to and from it.
+    inverse of a representative carrying i to x.  `levels` lists the
+    nontrivial levels, those whose transversal has more than the
+    identity, as (b, transversals[b], lo) in ascending b, where lo is the
+    first base point after the previous nontrivial level (0 for the
+    first).  Generators, representatives and sift residues are in the
+    representation of `_kernels(degree)`: 256-byte strings up to degree
+    256, image tuples above; `encode` and `decode` convert image tuples to
+    and from it.
     """
 
     def __init__(self, generators, degree):
-        self.encode, self.decode, self.compose, self.invert, self.identity = _kernels(degree)
+        self.encode, self.decode, self.then, self.invert, self.identity = _kernels(degree)
         self.gens: list[list[bytes | tuple]] = [[] for _ in range(degree + 1)]
         self.transversals = [{b: self.identity} for b in range(degree)]
-        self.depth = 0
+        self.levels: list[tuple[int, dict, int]] = []
         self._absorb([self.encode(g.images) for g in generators])
 
     def _absorb(self, generators) -> None:
@@ -187,7 +191,7 @@ class _StabilizerChain:
         the later of the two appears, and nothing restarts.
         """
         # forward representatives; each level starts at the identity, its own inverse
-        compose, invert = self.compose, self.invert
+        then, invert = self.then, self.invert
         reps = [dict(tr) for tr in self.transversals]
         work = [(0, g, True) for g in reversed(generators)]
         while work:
@@ -195,32 +199,44 @@ class _StabilizerChain:
             if is_gen:
                 if self.strip(p) != self.identity:
                     self.gens[level].append(p)
-                    work.extend((level, compose(p, u), False) for u in reps[level].values())
+                    work.extend((level, then(u, p), False) for u in reps[level].values())
                 continue
             img = p[level]
-            inv = self.transversals[level].get(img)
+            tr = self.transversals[level]
+            inv = tr.get(img)
             if inv is None:
                 reps[level][img] = p
-                self.transversals[level][img] = invert(p)
-                self.depth = max(self.depth, level + 1)
-                work.extend((level, compose(g, p), False) for g in self.gens[level])
+                tr[img] = invert(p)
+                if len(tr) == 2:
+                    self._add_level(level)
+                work.extend((level, then(p, g), False) for g in self.gens[level])
             else:
-                work.append((level + 1, compose(inv, p), True))
+                work.append((level + 1, then(p, inv), True))
+
+    def _add_level(self, b: int) -> None:
+        """Enter level b, whose transversal has just gained its second
+        entry, into `levels`; the lo of the level after it moves to b + 1."""
+        bases = sorted([c for c, _, _ in self.levels] + [b])
+        los = [0] + [c + 1 for c in bases[:-1]]
+        self.levels = [(c, self.transversals[c], lo) for c, lo in zip(bases, los)]
 
     def strip(self, p):
         """Sift an encoded permutation through the levels; the residue is
-        the identity iff it is in the group.  A level whose base point it
-        fixes has the identity as its representative and is skipped.  A
-        level from `depth` on either is skipped or ends the sift unchanged,
-        so the walk stops there."""
-        compose = self.compose
-        for b, tr in enumerate(self.transversals[: self.depth]):
+        the identity iff it is in the group.  Only the nontrivial levels are
+        visited: a trivial level ends the sift unchanged where p moves its
+        base point, so before each level one slice compare checks that p
+        fixes the base points skipped since the last, and the sift ends
+        there if not.  The residue is that of a walk through every level."""
+        then, identity = self.then, self.identity
+        for b, tr, lo in self.levels:
+            if lo != b and p[lo:b] != identity[lo:b]:
+                return p
             img = p[b]
             if img != b:
                 inv = tr.get(img)
                 if inv is None:
-                    break
-                p = compose(inv, p)
+                    return p
+                p = then(p, inv)
         return p
 
 
@@ -269,11 +285,15 @@ class PermutationGroup:
         self._lock = threading.Lock()
 
     def _chain(self) -> _StabilizerChain:
-        """The stabilizer chain, built once."""
-        with self._lock:
-            if self._stabilizer_chain is None:
-                self._stabilizer_chain = _StabilizerChain(self.generators, self.degree)
-            return self._stabilizer_chain
+        """The stabilizer chain, built once.  A built chain is read without
+        the lock: it is assigned only once complete."""
+        chain = self._stabilizer_chain
+        if chain is None:
+            with self._lock:
+                if self._stabilizer_chain is None:
+                    self._stabilizer_chain = _StabilizerChain(self.generators, self.degree)
+                chain = self._stabilizer_chain
+        return chain
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
@@ -328,20 +348,32 @@ class PermutationGroup:
 
         The Schreier generators of G_point generate it, so the classes of a
         union-find over them are its orbits; no stabilizer chain is built.
-        A generator that maps every class into itself merges nothing and is
-        skipped.  Every generator fixes point, so once the classes are
-        {point} and the rest, no later one can change them.
+        `roots` maps each point to its class minimum, so then(h, roots)
+        maps x to the minimum of h(x)'s class.  A generator with
+        then(h, roots) == roots merges nothing and is skipped; otherwise the
+        union-find, over class minima only, joins the two minima wherever
+        they differ, and one translate table re-maps the merged minima.
+        Every generator fixes point, so once the classes are {point} and
+        the rest, no later one can change them.
         """
-        encode, decode, compose, _, roots = _kernels(self.degree)
+        encode, decode, then, _, roots = _kernels(self.degree)
         parent = list(range(self.degree))
         classes = self.degree
         for h in self._schreier_generators(point):
-            if compose(roots, h) == roots:
+            moved = then(h, roots)
+            if moved == roots:
                 continue
-            for x, y in zip(range(self.degree), h):
-                if _union(parent, x, y):
+            pairs = {(r, s) for r, s in zip(roots[: self.degree], moved) if r != s}
+            for r, s in pairs:
+                if _union(parent, r, s):
                     classes -= 1
-            roots = encode(_find(parent, x) for x in range(self.degree))
+            # h is a bijection, so a class that takes in a point from another
+            # class (an s) also sends one out (is an r): re-mapping the r's
+            # re-maps every merged minimum
+            table = list(range(self.degree))
+            for r, _ in pairs:
+                table[r] = _find(parent, r)
+            roots = then(roots, encode(table))
             if classes == 2:
                 break
         return decode(roots)
@@ -410,7 +442,7 @@ class PermutationGroup:
         point.  The deepest points come first: their representatives are
         the longest words.
         """
-        encode, _, compose, invert, identity = _kernels(self.degree)
+        encode, _, then, invert, identity = _kernels(self.degree)
         gens = [encode(g.images) for g in self.generators]
         pairs = [(s, invert(s)) for s in gens]  # each inverse built once
         u = {point: identity}
@@ -420,12 +452,12 @@ class PermutationGroup:
             for s, s_inv in pairs:
                 y = s[x]
                 if y not in u:
-                    u[y] = compose(s, u[x])
-                    t[y] = compose(t[x], s_inv)
+                    u[y] = then(u[x], s)
+                    t[y] = then(s_inv, t[x])
                     queue.append(y)
         for x in reversed(queue):
             for s in gens:
-                h = compose(t[s[x]], compose(s, u[x]))
+                h = then(then(u[x], s), t[s[x]])
                 if h != identity:
                     yield h
 

@@ -228,6 +228,15 @@ def test_orbit_stabilizer_identity():
             )
 
 
+def check_levels(chain):
+    """The chain's level list is its nontrivial transversals in ascending
+    base point, each with lo one past the previous one's base point."""
+    bases = [b for b, tr in enumerate(chain.transversals) if len(tr) > 1]
+    los = [0] + [b + 1 for b in bases[:-1]]
+    assert [(b, lo) for b, _, lo in chain.levels] == list(zip(bases, los))
+    assert all(tr is chain.transversals[b] for b, tr, _ in chain.levels)
+
+
 def check_chain_against_brute(G):
     """Order, membership and every point stabilizer of G against the
     closure of its generators."""
@@ -235,6 +244,7 @@ def check_chain_against_brute(G):
     raw = [g.images for g in G.generators]
     elements = brute_elements(raw, degree)
     assert G.order() == len(elements)
+    check_levels(G._chain())
     for a in range(degree):
         assert G.orbit(a) == {p[a] for p in elements}
     if degree <= 6:
@@ -337,8 +347,7 @@ def full_walk_strip(chain, g):
 
 def check_strip_depth(G, members, non_members):
     chain = G._chain()
-    assert all(len(tr) == 1 for tr in chain.transversals[chain.depth:])
-    assert chain.depth == 0 or len(chain.transversals[chain.depth - 1]) > 1
+    check_levels(chain)
     for g, member in [(g, True) for g in members] + [(g, False) for g in non_members]:
         residue = chain.strip(chain.encode(g.images))
         assert residue == chain.encode(full_walk_strip(chain, g).images)
@@ -372,6 +381,62 @@ def test_strip_depth_cut_symmetric_30():
     )
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_strip_skips_trivial_levels_pgl(n):
+    # in the natural order the nontrivial levels are the basis vectors,
+    # points 2^i - 1: 6 of 32 levels for PGL(6,2), 7 of 64 for PGL(7,2)
+    rng = random.Random(n)
+    gens = pgl2_generators(n)
+    G = PermutationGroup(gens)
+    assert [b for b, _, _ in G._chain().levels] == [2**i - 1 for i in range(n)]
+    members = [random_word(rng, gens) for _ in range(30)]
+    # PGL(n,2) is simple, so a member times a transposition is outside; the
+    # transpositions move a level's base point, a skipped point between two
+    # levels and a point after the last level
+    degree = G.degree
+    swaps = [(1, 2), (5, 6), (2**n - 3, 2**n - 2), (1, 41)]
+    non_members = [
+        g * Permutation.from_cycles(f"({x},{y})", degree) for g in members for x, y in swaps
+    ]
+    assert G.order() == gl2_order(n)
+    check_strip_depth(G, members, non_members)
+
+
+@pytest.mark.parametrize(
+    "degree, text, b0",
+    [
+        (250, "(1,2,3)\n(200,225,250)", 0),
+        (300, "(1,2,3)\n(200,250,300)", 0),
+        (250, "(11,12,13)\n(200,225,250)", 10),
+        (300, "(11,12,13)\n(200,250,300)", 10),
+    ],
+)
+def test_strip_across_a_gap_of_trivial_levels(degree, text, b0):
+    # C3 x C3 with nontrivial levels at b0 and 199 only, on the byte kernel
+    # (250) and the tuple kernel (300)
+    G = group_from_text(text, degree)
+    b1 = 199
+    assert [(b, lo) for b, _, lo in G._chain().levels] == [(b0, 0), (b1, b0 + 1)]
+    elements = brute_elements([g.images for g in G.generators], degree)
+    members = [Permutation(p) for p in sorted(elements)]
+    # each transposition (1-based) moves a gap point, a point after the last
+    # level, a point before the first level (when there is one) or a level's
+    # base point
+    swaps = [(100, 150), (150, 151), (240, 241), (degree - 1, degree), (b0 + 1, b0 + 2),
+             (b1 + 1, b1 + 2)]
+    if b0:
+        swaps += [(1, 2), (b0, b0 + 1)]
+    non_members = [
+        g * Permutation.from_cycles(f"({x},{y})", degree) for g in members for x, y in swaps
+    ]
+    non_members += [Permutation.from_cycles(f"({x},{y})", degree) * g for g in members[:3]
+                    for x, y in swaps]
+    assert not any(g.images in elements for g in non_members)
+    assert all(G.contains(g) for g in members)
+    assert not any(G.contains(g) for g in non_members)
+    check_strip_depth(G, members, non_members)
+
+
 # Chains and Schreier generators use 256-byte strings up to degree 256 and
 # image tuples above; these degrees sit on both sides of the switch.
 KERNEL_BOUNDARY = [255, 256, 257]
@@ -393,16 +458,18 @@ def boundary_groups(degree):
 @pytest.mark.parametrize("degree", [1, 2, 31, *KERNEL_BOUNDARY])
 def test_kernels_match_image_tuples(degree):
     rng = random.Random(degree)
-    encode, decode, compose, invert, identity = _kernels(degree)
+    encode, decode, then, invert, identity = _kernels(degree)
     assert type(identity) is (bytes if degree <= 256 else tuple)
+    # up to degree 256 composing is one C call, with no Python frame
+    assert (then is bytes.translate) == (degree <= 256)
     assert decode(identity) == tuple(range(degree))
     for _ in range(20):
         a = tuple(rng.sample(range(degree), degree))
         b = tuple(rng.sample(range(degree), degree))
         ea, eb = encode(a), encode(b)
         assert decode(ea) == a and ea[degree:] == identity[degree:]
-        assert decode(compose(ea, eb)) == tuple(a[x] for x in b)
-        assert compose(invert(ea), ea) == identity == compose(ea, invert(ea))
+        assert decode(then(eb, ea)) == tuple(a[x] for x in b)
+        assert then(invert(ea), ea) == identity == then(ea, invert(ea))
 
 
 @pytest.mark.parametrize("degree", KERNEL_BOUNDARY)
@@ -912,3 +979,34 @@ def test_concurrent_chain_build(monkeypatch):
         t.join()
     assert results == [25920] * 4
     assert builds == [G._stabilizer_chain]
+
+    # a fresh group, queried by contains while its slowed build runs;
+    # PSU(4,2) is simple, so a member times a transposition is outside
+    builds.clear()
+    G = load_group("psu4_2.grp")
+    gens = G.generators
+    members = [a * b for a, b in product(gens, repeat=2)]
+    swap = Permutation.from_cycles("(1,2)", G.degree)
+    queries = [(g, True) for g in members] + [(g * swap, False) for g in members]
+    answers = []
+    start = threading.Barrier(4)
+
+    def asker():
+        start.wait()
+        answers.append([G.contains(g) for g, _ in queries])
+
+    threads = [threading.Thread(target=asker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert answers == [[member for _, member in queries]] * 4
+    assert builds == [G._stabilizer_chain]
+
+    # a built chain is read without the lock
+    with G._lock:
+        reader = threading.Thread(target=lambda: answers.append(G.contains(gens[0])))
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+    assert answers[-1] is True
