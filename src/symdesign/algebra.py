@@ -269,47 +269,6 @@ def _iroot(n: int, a: int) -> int:
         r = s
 
 
-# --- polynomial helpers over GF(p), coefficient lists low-degree first ---
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    """Remainder of a by the monic polynomial mod; a is overwritten."""
-    deg = len(mod) - 1
-    for i in range(len(a) - 1, deg - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(deg):
-                a[i - deg + j] = (a[i - deg + j] - c * mod[j]) % p
-    return _poly_trim(a[:deg])
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, mod, p)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p) by trial division."""
-    a = len(poly) - 1
-    # divide by every monic polynomial of degree 1..a//2
-    for d in range(1, a // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            if not _poly_rem(list(poly), list(tail) + [1], p):
-                return False
-    return True
-
-
 class FieldTable:
     """GF(p^a) tabulated once, as lists indexed by element.
 
@@ -319,30 +278,44 @@ class FieldTable:
     (coefficients compared low-degree-first), so tables are reproducible.
     ``add[x][y]`` is x + y, ``mul[x][y]`` is x * y, ``neg[x]`` is -x and
     ``inv[x]`` is 1/x for x != 0 (``inv[0]`` is None).
+
+    ``mul`` is built from ``add`` alone, row by row.  Row x < p is the
+    scalar multiple, y added to itself x times.  Row x >= p follows from
+    rows x % p and x // p by Horner's rule, x = x % p + t * (x // p).
+    Candidate moduli are tried in ascending order, and one is rejected as
+    soon as a row x >= p holds 0 at some y != 0: the first with no zero
+    divisor is irreducible, since a finite commutative ring with no zero
+    divisors is a field.
     """
 
     def __init__(self, prime_power: PrimePower):
         p, a, q = prime_power.p, prime_power.a, prime_power.q
         self.p, self.a, self.q = p, a, q
-        self.modulus = self._smallest_irreducible(p, a)
         weights = [p**i for i in range(a)]
         digits = [[x // w % p for w in weights] for x in range(q)]
 
         def enc(v) -> int:
             return sum(c * w for c, w in zip(v, weights))
 
-        mod = list(self.modulus)
-        self.add = [[enc((u + w) % p for u, w in zip(dx, dy)) for dy in digits] for dx in digits]
-        self.mul = [[enc(_poly_mulmod(dx, dy, mod, p)) for dy in digits] for dx in digits]
-        self.neg = [row.index(0) for row in self.add]
-        self.inv = [None] + [row.index(1) for row in self.mul[1:]]
-
-    @staticmethod
-    def _smallest_irreducible(p: int, a: int) -> tuple[int, ...]:
-        if a == 1:
-            return (0, 1)
+        add = [[enc((u + w) % p for u, w in zip(dx, dy)) for dy in digits] for dx in digits]
+        scalars = [[0] * q]
+        for _ in range(1, p):
+            scalars.append([add[z][y] for y, z in enumerate(scalars[-1])])
+        top = q // p
         for coeffs in itertools.product(range(p), repeat=a):
-            poly = coeffs + (1,)
-            if _is_irreducible(poly, p):
-                return poly
-        raise AssertionError("no irreducible polynomial found")  # pragma: no cover
+            # t**a = -(m_0 + m_1 t + ... + m_{a-1} t**(a-1)) modulo the candidate
+            r = enc(-c % p for c in coeffs)
+            # t * y: the lower digits of y move up one place, the top one meets t**a
+            times_t = [add[y % top * p][scalars[y // top][r]] for y in range(q)]
+            mul = scalars[:]
+            for x in range(p, q):
+                row = [add[u][times_t[w]] for u, w in zip(mul[x % p], mul[x // p])]
+                if 0 in row[1:]:
+                    break  # x is a zero divisor
+                mul.append(row)
+            else:
+                break  # every row is built: the candidate is irreducible
+        self.modulus = coeffs + (1,)
+        self.add, self.mul = add, mul
+        self.neg = [row.index(0) for row in add]
+        self.inv = [None] + [row.index(1) for row in mul[1:]]

@@ -198,6 +198,12 @@ class _StabilizerChain:
             level, p, is_gen = work.pop()
             if is_gen:
                 if self.strip(p) != self.identity:
+                    # at a trivial level whose point p fixes, the one product
+                    # is p and its Schreier generator, next off the stack, is
+                    # p again, sifting as p did: so p joins each such level
+                    while len(reps[level]) == 1 and p[level] == level:
+                        self.gens[level].append(p)
+                        level += 1
                     self.gens[level].append(p)
                     work.extend((level, then(u, p), False) for u in reps[level].values())
                 continue

@@ -195,7 +195,7 @@ def test_field_axioms_exhaustive(q):
         assert add[x][F.neg[x]] == 0
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 81])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125])
 def test_field_tables_match_brute_force(q):
     F = FieldTable(PrimePower.of(q))
     add, mul, neg, inv = brute_gf(F.p, F.modulus)
@@ -228,6 +228,14 @@ def test_gf4_product_of_generators():
         (27, (1, 0, 2, 1)),
         (49, (1, 0, 1)),
         (81, (1, 0, 1, 1, 1)),
+        (32, (1, 0, 0, 1, 0, 1)),
+        (64, (1, 0, 0, 0, 0, 1, 1)),
+        (121, (1, 0, 1)),
+        (125, (1, 0, 1, 1)),
+        (128, (1, 0, 0, 0, 0, 0, 1, 1)),
+        (169, (1, 3, 1)),
+        (243, (1, 0, 0, 0, 2, 1)),
+        (256, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
     ],
 )
 def test_field_modulus_is_smallest_irreducible(q, modulus):

@@ -299,6 +299,21 @@ def test_group_degree_limit(capsys, tmp_path):
     assert run(capsys, "group", "order", str(g_file)) == (2, "", message)
 
 
+def group_order_under_1gib(resource, g_file):
+    """`symdesign group order g_file` in a child process limited to 1 GiB
+    of address space."""
+    src = str(Path(symdesign.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "symdesign.cli", "group", "order", str(g_file)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+    )
+
+
 def test_group_huge_degree_exits_before_allocating(tmp_path):
     """A header far above MAX_DEGREE exits 2 under a 1 GiB address-space
     limit, in well under a second of CPU time, instead of building an image
@@ -306,22 +321,27 @@ def test_group_huge_degree_exits_before_allocating(tmp_path):
     resource = pytest.importorskip("resource")
     g_file = tmp_path / "huge.grp"
     g_file.write_text("degree 1000000000\n(1,2)\n")
-    src = str(Path(symdesign.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "symdesign.cli", "group", "order", str(g_file)],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
-    )
+    proc = group_order_under_1gib(resource, g_file)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {g_file}: degree 1000000000 exceeds the limit {MAX_DEGREE}\n"
     assert cpu_s < 1.0
+
+
+@pytest.mark.parametrize(
+    "body, order", [("(65535,65536)", 2), ("(1,2)\n(65535,65536)", 4)], ids=["last", "first-last"]
+)
+def test_group_order_at_max_degree(tmp_path, body, order):
+    """A generator fixing every point but the last two passes the trivial
+    levels below them without a copy each, so the order of a group of
+    degree MAX_DEGREE comes out under a 1 GiB address-space limit."""
+    resource = pytest.importorskip("resource")
+    g_file = tmp_path / "max.grp"
+    g_file.write_text(f"degree {MAX_DEGREE}\n{body}\n")
+    proc = group_order_under_1gib(resource, g_file)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{order}\n", "")
 
 
 @pytest.mark.parametrize(
