@@ -1,15 +1,19 @@
 """Exact arithmetic: primality, factorization, divisor streams, GF(p^a) tables.
 
 Everything here works on plain Python ints, so all results are exact at any
-size.  Primality is deterministic below 2**64 (fixed Miller-Rabin witness
-set) and Baillie-PSW above; ``is_prime_certain`` reports which regime was
-used so callers can flag probabilistic answers.
+size.  Primality is deterministic below 2**64 (Miller-Rabin with the first t
+prime witnesses, t graded by the size of n) and Baillie-PSW above;
+``is_prime_certain`` reports which regime was used so callers can flag
+probabilistic answers.  Factorization trial-divides in chunks of primes,
+skipping a chunk by one gcd with its product, and splits what is left with
+Brent's rho.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,19 +31,32 @@ __all__ = [
 # Deterministic for all n < 2**64 (Sorenson & Webster witness set).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# psi_t for t = 1..11 (Jaeschke 1993; OEIS A014233): the least odd composite
+# that is a strong pseudoprime to the first t witnesses, so below psi_t those
+# t witnesses prove primality.  psi_12 is above 2**64.
+_MR_BOUNDS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051,
+)
+
 _SMALL_PRIME_LIMIT = 10_000
+_CHUNK = 64
 
 
 @lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    """Primes below 10**4 by sieve of Eratosthenes."""
+def _prime_chunks() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The primes below 10**4, by sieve of Eratosthenes, in ascending chunks
+    of 64, each with its product."""
     limit = _SMALL_PRIME_LIMIT
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(limit) if sieve[i])
+    primes = tuple(i for i in range(limit) if sieve[i])
+    chunks = (primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK))
+    return tuple((math.prod(chunk), chunk) for chunk in chunks)
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -117,8 +134,9 @@ def _strong_lucas(n: int) -> bool:
 def is_prime_certain(n: int) -> tuple[bool, bool]:
     """Primality of n together with whether the answer is deterministic.
 
-    Returns (prime, certain).  Below 2**64 the fixed Miller-Rabin witness
-    set is a proof; above, Baillie-PSW (no known counterexample) is used
+    Returns (prime, certain).  Below 2**64 Miller-Rabin is a proof with the
+    first t witnesses, where t is the least index with n < psi_t
+    (``_MR_BOUNDS``); above, Baillie-PSW (no known counterexample) is used
     and certainty is reported as False.
     """
     if n < 0:
@@ -131,7 +149,8 @@ def is_prime_certain(n: int) -> tuple[bool, bool]:
         if n % p == 0:
             return False, True
     if n < 2**64:
-        return all(_miller_rabin(n, a) for a in _MR_WITNESSES), True
+        witnesses = _MR_WITNESSES[: bisect_right(_MR_BOUNDS, n) + 1]
+        return all(_miller_rabin(n, a) for a in witnesses), True
     if math.isqrt(n) ** 2 == n:
         return False, True
     ok = _miller_rabin(n, 2) and _strong_lucas(n)
@@ -161,7 +180,9 @@ def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant).
 
     The additive constant runs through a fixed schedule, so results are
-    reproducible run to run.
+    reproducible run to run.  Between gcd checkpoints the differences x - y
+    are multiplied four to a reduction mod n; their signs do not change any
+    gcd, so each checkpoint sees the same gcd as one product per step.
     """
     for c in itertools.count(1):
         y, m = 2, 128
@@ -173,9 +194,16 @@ def _pollard_rho(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)  # a power of two, so steps & 3 is 0 once r >= 4
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
+                for _ in range(steps >> 2):
+                    a = (y * y + c) % n
+                    b = (a * a + c) % n
+                    d = (b * b + c) % n
+                    y = (d * d + c) % n
+                    q = q * (x - a) * (x - b) * (x - d) * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -183,7 +211,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # cycle collapsed; retry with the next constant
@@ -192,20 +220,28 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Complete factorization.
 
-    Trial division by the primes below 10**4 strips the small factors.  Each
-    cofactor left over is recorded when ``is_prime`` says it is prime, and
-    otherwise split by Pollard rho, whose parts are treated the same way.
+    Trial division by the primes below 10**4 strips the small factors.  It
+    runs over chunks of 64 primes: the first chunk is always divided out,
+    and a later one only when its product shares a factor with what is left
+    of n.  Each cofactor left over is recorded when ``is_prime`` says it is
+    prime, and otherwise split by Pollard rho, whose parts are treated the
+    same way.
     """
     if n < 2:
         raise ValueError("factorize needs n >= 2")
     value = n
     counts: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
+    for i, (product, chunk) in enumerate(_prime_chunks()):
+        if chunk[0] * chunk[0] > n:
             break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
+        if i and math.gcd(n, product) == 1:
+            continue
+        for p in chunk:
+            if p * p > n:
+                break  # and the next chunk's first prime ends the outer loop
+            while n % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                n //= p
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

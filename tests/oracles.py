@@ -5,7 +5,9 @@ design verification and the first bad point pair by direct pair counting,
 group order by closure enumeration, minimal blocks by subset search,
 admissibility by a full range scan, flag-transitivity in two steps (point
 orbit, then blocks through a point) and as the orbit of one flag,
-difference sets by subset search on element labels, GF(p^a) tables by
+factorizations by trial division with every integer, primality below
+2**64 by the strong test to all twelve witnesses 2..37, difference sets by
+subset search on element labels, GF(p^a) tables by
 schoolbook products of digit tuples, projective spaces by a dot product
 per pair of points found by filtering all of GF(q)^n, subdegrees by the
 orbits of the elements that fix the point, and minimal blocks of large
@@ -19,10 +21,15 @@ point_stabilizer use, so that chain_subdegrees and flag_transitive_two_step
 check those against the chain and not against themselves.
 group_from_text, pgl2_generators and relabelled are no oracles: they build
 test groups, the first through the library's group-file parser.
+brent_rho_reference is no independent oracle either: it is the Brent rho
+loop with one product per step, kept to pin that the library's batched loop
+returns the same factor.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from itertools import combinations, product
 
 from symdesign.algebra import FieldTable, PrimePower
@@ -67,6 +74,81 @@ def sieve_primes(limit: int) -> list[bool]:
             for j in range(i * i, limit, i):
                 flags[j] = False
     return flags
+
+
+def brute_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) pairs of n >= 2, by dividing out every d >= 2 while d*d <= n."""
+    counts = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        counts[n] = counts.get(n, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+_TWELVE_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_test_12(n: int) -> bool:
+    """Primality of n < 2**64: n is a strong probable prime to all twelve
+    witnesses 2..37, which no composite below 2**64 is (Sorenson & Webster)."""
+    assert n < 2**64
+    if n < 2:
+        return False
+    if n in _TWELVE_WITNESSES:
+        return True
+    if any(n % a == 0 for a in _TWELVE_WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _TWELVE_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def brent_rho_reference(n: int) -> int:
+    """A nontrivial factor of odd composite n (Brent's cycle variant).
+
+    The additive constant runs through a fixed schedule, so results are
+    reproducible run to run.
+    """
+    for c in itertools.count(1):
+        y, m = 2, 128
+        g = r = q = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        # cycle collapsed; retry with the next constant
 
 
 def brute_verify_symmetric(v, blocks):

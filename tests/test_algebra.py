@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import brute_gf, sieve_primes
+from oracles import (
+    brent_rho_reference,
+    brute_factorize,
+    brute_gf,
+    sieve_primes,
+    strong_test_12,
+)
+from symdesign import algebra, elimination
 from symdesign.algebra import (
     FieldTable,
     Factorization,
@@ -14,6 +21,9 @@ from symdesign.algebra import (
     factorize,
     is_prime,
     is_prime_certain,
+    _miller_rabin,
+    _pollard_rho,
+    _prime_chunks,
     _strong_lucas,
 )
 
@@ -117,6 +127,123 @@ def test_factorize_products_of_mid_primes():
                     n *= p
                 expected = tuple(sorted(Counter(primes + extra).items()))
                 assert factorize(n).factors == expected, n
+
+
+# psi_t (Jaeschke 1993; OEIS A014233), keyed by the largest t it bounds:
+# the least odd composite that is a strong pseudoprime to the first t primes
+_PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    8: 341550071728321,
+    11: 3825123056546413051,
+}
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_is_prime_rejects_each_psi_bound():
+    """Each psi_t passes the first t witnesses, so it is exactly the input a
+    witness prefix one too short would call prime."""
+    for t, psi in _PSI.items():
+        assert all(_miller_rabin(psi, a) for a in _WITNESSES[:t]), psi
+        assert not _miller_rabin(psi, _WITNESSES[t]), psi
+        assert is_prime_certain(psi) == (False, True), psi
+
+
+def test_is_prime_matches_twelve_witnesses_below_2_64():
+    rng = random.Random(20261019)
+    ns = [rng.randrange(1, 2**64, 2) for _ in range(10**5)]
+    ns += [psi + d for psi in _PSI.values() for d in (-2, 2)]
+    ns += [2**64 - 59, 2**64 - 1]  # the largest prime below 2**64, and a composite
+    mismatches = [n for n in ns if is_prime_certain(n) != (strong_test_12(n), True)]
+    assert mismatches == []
+    assert is_prime(2**64 - 59)
+
+
+def test_pollard_rho_matches_per_step_reference():
+    """The batched loop returns the per-step loop's factor: on odd composites
+    below 2000, whose cycles are so short that the lone steps at r = 1 and 2
+    decide the factor; on products of primes just above 10**4 (cycles met
+    within a few batches, often only on the backtrack); on 30-32-bit prime
+    pairs; and on prime squares."""
+    flags = sieve_primes(10**6)
+    ns = [n for n in range(9, 2000, 2) if not flags[n]]
+    above = [p for p in range(10**4, 10**6) if flags[p]]
+    ns += [p * q for p, q in itertools.combinations_with_replacement(above[:24], 2)]
+    rng = random.Random(20261019)
+    ns += [p * p for p in rng.sample([p for p in range(3, 10**6) if flags[p]], 40)]
+
+    def prime_between(lo, hi):
+        while True:
+            p = rng.randrange(lo, hi) | 1
+            if is_prime(p):
+                return p
+
+    ns += [prime_between(2**29, 2**32) * prime_between(2**29, 2**32) for _ in range(10)]
+    # found with the reference: 10007 * 10151 meets a batch gcd equal to n, so
+    # the ys backtrack runs; 10007 * 10099 also collapses once and retries c = 2
+    ns += [101581057, 101060693]
+    assert len(ns) >= 1000
+    mismatches = [n for n in ns if _pollard_rho(n) != brent_rho_reference(n)]
+    assert mismatches == []
+    assert _pollard_rho(101581057) == _pollard_rho(101060693) == 10007
+
+
+def _chunk_edge_values():
+    chunks = [chunk for _, chunk in _prime_chunks()]
+    values = [prev[-1] * nxt[0] for prev, nxt in zip(chunks, chunks[1:])]
+    values += [chunk[i] ** 2 for chunk in chunks for i in (0, -1)]
+    values += [9973**2, 9973 * 10007, 2**200 * 3**100 * 9973]
+    values += [math.prod(chunk) for chunk in chunks]
+    values.append(math.prod(p for chunk in chunks for p in chunk))
+    return values
+
+
+def test_factorize_at_chunk_edges():
+    for n in _chunk_edge_values():
+        assert factorize(n).factors == brute_factorize(n), n
+
+
+def test_factorize_hands_per_prime_cofactor_to_is_prime(monkeypatch):
+    """The gcd-gated chunks leave the cofactor that dividing by every prime
+    below 10**4, up to the first p with p*p > n, leaves; factorize asks
+    ``is_prime`` about it through the module name, which the tracer patches."""
+    flags = sieve_primes(10**4)
+    small = [p for p in range(10**4) if flags[p]]
+
+    def per_prime_cofactor(n):
+        for p in small:
+            if p * p > n:
+                break
+            while n % p == 0:
+                n //= p
+        return n
+
+    asked = []
+
+    def recording(n, _is_prime=algebra.is_prime):
+        asked.append(n)
+        return _is_prime(n)
+
+    monkeypatch.setattr(algebra, "is_prime", recording)
+    rng = random.Random(20261019)
+    values = _chunk_edge_values() + [rng.randrange(2, 10**12) for _ in range(2000)]
+    values += [p * 1000003 for p in small[60:70]] + [small[200] ** 3 * 10007**2]
+    for n in values:
+        asked.clear()
+        factorize(n)
+        cofactor = per_prime_cofactor(n)
+        assert asked[:1] == ([cofactor] if cofactor > 1 else []), n
+
+
+def test_elimination_imports_the_traced_names():
+    # bench/tracing.py patches these names in elimination as well as in algebra
+    assert elimination.factorize is algebra.factorize
+    assert elimination.divisors is algebra.divisors
+    assert elimination.is_prime is algebra.is_prime
 
 
 def test_factorization_rejects_bad_list():
