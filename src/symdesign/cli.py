@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Verbs: construct, verify, group, flagtest, eliminate, families, selftest.
+Verbs: construct, verify, group, flagtest, eliminate, families.
 Exit codes: 0 expected outcome, 1 violated expectation, 2 usage error.
 Machine-readable report lines are prefixed with #R.
 """
@@ -176,21 +176,6 @@ def _cmd_families(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    import pathlib
-
-    import pytest
-
-    # src/symdesign/cli.py -> src -> repository root -> tests/
-    root = pathlib.Path(__file__).resolve().parents[2]
-    target = root / "tests" / "test_acceptance.py"
-    if not target.exists():
-        print("acceptance tests not found; run pytest from the source tree")
-        return 1
-    # pytest's codes 2-5 are failures here, not this program's usage error (2)
-    return 0 if pytest.main(["-v", "-s", str(target)]) == 0 else 1
-
-
 class SystemExit2(SystemExit):
     def __init__(self, message: str):
         print(f"error: {message}", file=sys.stderr)
@@ -235,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("families", help="imprimitivity parameter families")
     fam.add_argument("--lambda", dest="lam", type=int, required=True)
     fam.set_defaults(func=_cmd_families)
-
-    s = sub.add_parser("selftest", help="run the acceptance suite")
-    s.set_defaults(func=_cmd_selftest)
     return p
 
 

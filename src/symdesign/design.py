@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .perm import Permutation, PermutationGroup, orbit_of, parse_header
+from .perm import Permutation, PermutationGroup, open_text, orbit_of, parse_header
 
 
 class DesignError(ValueError):
@@ -168,7 +168,7 @@ def orbit_design(G: PermutationGroup, base_block) -> IncidenceStructure:
 def read_design_file(path) -> IncidenceStructure:
     """Read a design file: `v N` header (N >= 1), then one block per line,
     its points 1-based and comma-separated."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         v = parse_header(fh.readline(), "v", path)
         blocks = []
         point: dict[str, int] = {}  # field text -> its 0-based point, once a line held it

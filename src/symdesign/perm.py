@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
@@ -523,6 +524,17 @@ def orbit_of(seed, generators, act) -> set:
     return seen
 
 
+@contextmanager
+def open_text(path):
+    """path opened as UTF-8 text, whatever the locale, for a group or design
+    file reader; bytes that do not decode raise a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_header(line: str, keyword: str, source) -> int:
     """N from a `keyword N` header line of a group or design file, where N
     must be a decimal integer >= 1.  `source` names the file in errors."""
@@ -568,7 +580,7 @@ def parse_group_text(text: str, source) -> PermutationGroup:
 
 def read_group_file(path) -> PermutationGroup:
     """Read a group file: `degree N` header, then one generator per line."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         return parse_group_text(fh.read(), path)
 
 

@@ -431,6 +431,16 @@ def test_design_file_bad_header(tmp_path):
         read_design_file(path)
 
 
+@pytest.mark.parametrize("blocks", [0, 5000], ids=["header", "after-blocks"])
+def test_design_file_not_utf8_names_the_file(tmp_path, blocks):
+    # 5000 blocks put the bad byte beyond the first chunk the reader decodes
+    path = tmp_path / "bad.design"
+    path.write_bytes(b"v 3" + b"\n1,2" * blocks + b"\xff\n")
+    with pytest.raises(ValueError) as exc:
+        read_design_file(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 def test_projective_space_round_trip(tmp_path):
     D = projective_space(3, 3)
     path = tmp_path / "pg.design"

@@ -939,6 +939,14 @@ def test_group_file_bad_header(tmp_path):
         read_group_file(path)
 
 
+def test_group_file_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.grp"
+    path.write_bytes(b"degree 3\n(1,2)\n\xff\n")
+    with pytest.raises(ValueError) as exc:
+        read_group_file(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 @pytest.mark.parametrize(
     "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )

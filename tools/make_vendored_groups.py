@@ -87,9 +87,10 @@ def make_psl2_7() -> None:
 def make_psl2_11() -> None:
     """PSL(2,11) on 11 points, as the automorphism group of the biplane.
 
-    The full automorphism group of the (11,5,2) design developed from
-    {0,1,2,3,5} mod 11 has order 660; a backtracking search enumerates it
-    and a deterministic greedy pass picks a small generating set.
+    The full automorphism group of the (11,5,2) design developed from the
+    quadratic residues {1,3,4,5,9} mod 11 has order 660; a backtracking
+    search enumerates it and a deterministic greedy pass picks a small
+    generating set.
     """
     D = develop_difference_set(DifferenceSetSpec(cyclic(11), (1, 3, 4, 5, 9)))
     blocks = [frozenset(b) for b in D.blocks]
