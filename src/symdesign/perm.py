@@ -3,9 +3,9 @@
 Points are 0-based everywhere inside the library; the cycle-notation text
 format and the group file format use 1-based labels.  A group carries one
 lazily built stabilizer chain that provides order and membership testing:
-Knuth's deterministic form of Schreier-Sims over the full base
-0, ..., degree-1.  Point stabilizers and subdegrees come from Schreier
-generators, with no chain.
+Knuth's deterministic form of Schreier-Sims over a base grown on demand,
+one base point for each level with a nontrivial transversal.  Point
+stabilizers and subdegrees come from Schreier generators, with no chain.
 
 The chain and the Schreier generators multiply and invert permutations
 through the kernels `_kernels(degree)` picks from the degree alone: up to
@@ -157,87 +157,71 @@ def _kernels(degree: int) -> tuple:
 
 
 class _StabilizerChain:
-    """Stabilizer chain over a full base, built by Knuth's Schreier-Sims.
+    """Stabilizer chain over a base grown on demand, built by Knuth's
+    Schreier-Sims.
 
-    Every point is a base point, in ascending order, so level i is the
-    level of point i.  gens[i] alone generates the stabilizer of points
-    0..i-1 (gens[-1], the stabilizer of every point, stays empty);
-    transversals[i] maps each point x of the orbit of i under it to the
-    inverse of a representative carrying i to x.  `levels` lists the
-    nontrivial levels, those whose transversal has more than the
-    identity, as (b, transversals[b], lo) in ascending b, where lo is the
-    first base point after the previous nontrivial level (0 for the
-    first).  Generators, representatives and sift residues are in the
-    representation of `_kernels(degree)`: 256-byte strings up to degree
-    256, image tuples above; `encode` and `decode` convert image tuples to
-    and from it.
+    base, gens and transversals are parallel lists with one entry per
+    level.  gens[i] alone generates the stabilizer of base[:i];
+    transversals[i] maps each point x of the orbit of base[i] under it to
+    the inverse of a representative carrying base[i] to x.  A level opens
+    only for a generator that fixes every base point so far, at the least
+    point it moves, so every transversal has at least two entries and the
+    base depends on the order of the generators.  Generators,
+    representatives and sift residues are in the representation of
+    `_kernels(degree)`: 256-byte strings up to degree 256, image tuples
+    above; `encode` and `decode` convert image tuples to and from it.
     """
 
     def __init__(self, generators, degree):
         self.encode, self.decode, self.then, self.invert, self.identity = _kernels(degree)
-        self.gens: list[list[bytes | tuple]] = [[] for _ in range(degree + 1)]
-        self.transversals = [{b: self.identity} for b in range(degree)]
-        self.levels: list[tuple[int, dict, int]] = []
+        self.base: list[int] = []
+        self.gens: list[list[bytes | tuple]] = []
+        self.transversals: list[dict] = []
         self._absorb([self.encode(g.images) for g in generators])
 
     def _absorb(self, generators) -> None:
         """Knuth's procedures A and B as one worklist, so nothing recurses.
 
-        An item (level, g, True) is a candidate generator fixing the points
-        below level: unless it sifts to the identity it joins gens[level] and
-        meets every representative there.  An item (level, p, False) is such
-        a product: a new image of level takes p as its representative and
-        meets every generator there; a known image gives a Schreier generator
-        for level + 1.  Each generator meets each representative once, when
-        the later of the two appears, and nothing restarts.
+        An item (level, g, True) is a candidate generator fixing base[:level]:
+        unless it sifts to the identity it joins gens[level], opening that
+        level if it is one past the last, and meets every representative
+        there.  An item (level, p, False) is such a product: a new image of
+        base[level] takes p as its representative and meets every generator
+        there; a known image gives a Schreier generator for level + 1.  Each
+        generator meets each representative once, when the later of the two
+        appears, and nothing restarts.
         """
-        # forward representatives; each level starts at the identity, its own inverse
-        then, invert = self.then, self.invert
-        reps = [dict(tr) for tr in self.transversals]
+        then, invert, identity = self.then, self.invert, self.identity
+        reps = []  # forward representatives, per level
         work = [(0, g, True) for g in reversed(generators)]
         while work:
             level, p, is_gen = work.pop()
             if is_gen:
-                if self.strip(p) != self.identity:
-                    # at a trivial level whose point p fixes, the one product
-                    # is p and its Schreier generator, next off the stack, is
-                    # p again, sifting as p did: so p joins each such level
-                    while len(reps[level]) == 1 and p[level] == level:
-                        self.gens[level].append(p)
-                        level += 1
+                if self.strip(p) != identity:
+                    if level == len(self.base):
+                        b = next(x for x, y in enumerate(p) if x != y)
+                        self.base.append(b)
+                        self.gens.append([])
+                        self.transversals.append({b: identity})
+                        reps.append({b: identity})
                     self.gens[level].append(p)
                     work.extend((level, then(u, p), False) for u in reps[level].values())
                 continue
-            img = p[level]
+            img = p[self.base[level]]
             tr = self.transversals[level]
             inv = tr.get(img)
             if inv is None:
                 reps[level][img] = p
                 tr[img] = invert(p)
-                if len(tr) == 2:
-                    self._add_level(level)
                 work.extend((level, then(p, g), False) for g in self.gens[level])
             else:
                 work.append((level + 1, then(p, inv), True))
 
-    def _add_level(self, b: int) -> None:
-        """Enter level b, whose transversal has just gained its second
-        entry, into `levels`; the lo of the level after it moves to b + 1."""
-        bases = sorted([c for c, _, _ in self.levels] + [b])
-        los = [0] + [c + 1 for c in bases[:-1]]
-        self.levels = [(c, self.transversals[c], lo) for c, lo in zip(bases, los)]
-
     def strip(self, p):
         """Sift an encoded permutation through the levels; the residue is
-        the identity iff it is in the group.  Only the nontrivial levels are
-        visited: a trivial level ends the sift unchanged where p moves its
-        base point, so before each level one slice compare checks that p
-        fixes the base points skipped since the last, and the sift ends
-        there if not.  The residue is that of a walk through every level."""
-        then, identity = self.then, self.identity
-        for b, tr, lo in self.levels:
-            if lo != b and p[lo:b] != identity[lo:b]:
-                return p
+        the identity iff it is in the group."""
+        then = self.then
+        for b, tr in zip(self.base, self.transversals):
             img = p[b]
             if img != b:
                 inv = tr.get(img)

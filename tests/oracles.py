@@ -340,16 +340,21 @@ def scan_is_primitive(G):
 
 def chain_stabilizer(G, point):
     """The stabilizer of point, read from a stabilizer chain: conjugate G by
-    the transposition t of 0 and point, so that point becomes the chain's
-    first base point, take the generators of the chain's level 1 (the
-    stabilizer of 0), decoded to image tuples by the chain, and conjugate
-    them back by t."""
+    the transposition t of 0 and point, put a generator that moves 0 first,
+    so that 0 becomes the chain's first base point, take the generators of
+    the chain's level 1 (the stabilizer of 0; none when the chain has no
+    level 1), decoded to image tuples by the chain, and conjugate them back
+    by t.  When no generator moves 0, the stabilizer is G itself."""
     swap = list(range(G.degree))
     swap[0], swap[point] = point, 0
     t = Permutation(swap)
-    moved = PermutationGroup([t * g * t for g in G.generators], G.degree)
-    chain = moved._chain()
-    stabilizer = [t * Permutation(chain.decode(h)) * t for h in chain.gens[1]]
+    moved = sorted((t * g * t for g in G.generators), key=lambda g: g(0) == 0)
+    if not moved or moved[0](0) == 0:
+        return PermutationGroup(G.generators, G.degree)
+    chain = PermutationGroup(moved, G.degree)._chain()
+    assert chain.base[0] == 0
+    level1 = chain.gens[1] if len(chain.gens) > 1 else []
+    stabilizer = [t * Permutation(chain.decode(h)) * t for h in level1]
     return PermutationGroup(stabilizer, G.degree)
 
 

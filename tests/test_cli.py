@@ -335,9 +335,9 @@ def test_group_huge_degree_exits_before_allocating(tmp_path):
     "body, order", [("(65535,65536)", 2), ("(1,2)\n(65535,65536)", 4)], ids=["last", "first-last"]
 )
 def test_group_order_at_max_degree(tmp_path, body, order):
-    """A generator fixing every point but the last two passes the trivial
-    levels below them without a copy each, so the order of a group of
-    degree MAX_DEGREE comes out under a 1 GiB address-space limit."""
+    """A chain opens a level only at a point some generator moves, so the
+    order of a group of degree MAX_DEGREE comes out under a 1 GiB
+    address-space limit."""
     resource = pytest.importorskip("resource")
     g_file = tmp_path / "max.grp"
     g_file.write_text(f"degree {MAX_DEGREE}\n{body}\n")

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from importlib import resources
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -22,10 +23,12 @@ from oracles import (
 )
 from symdesign.constructions import load_group
 from symdesign.perm import (
+    MAX_DEGREE,
     Permutation,
     PermutationGroup,
     _kernels,
     _StabilizerChain,
+    orbit_of,
     parse_group_text,
     read_group_file,
     write_group_file,
@@ -228,13 +231,19 @@ def test_orbit_stabilizer_identity():
             )
 
 
-def check_levels(chain):
-    """The chain's level list is its nontrivial transversals in ascending
-    base point, each with lo one past the previous one's base point."""
-    bases = [b for b, tr in enumerate(chain.transversals) if len(tr) > 1]
-    los = [0] + [b + 1 for b in bases[:-1]]
-    assert [(b, lo) for b, _, lo in chain.levels] == list(zip(bases, los))
-    assert all(tr is chain.transversals[b] for b, tr, _ in chain.levels)
+def check_chain(chain):
+    """The chain's invariants: distinct base points, one generator list and
+    one transversal of at least 2 entries per level, gens[i] fixing
+    base[:i], the keys of transversals[i] the orbit of base[i] under
+    gens[i], and each stored inverse carrying its point back to base[i]."""
+    base, decode = chain.base, chain.decode
+    assert len(set(base)) == len(base) == len(chain.gens) == len(chain.transversals)
+    for i, (b, gens, tr) in enumerate(zip(base, chain.gens, chain.transversals)):
+        assert len(tr) >= 2
+        images = [decode(g) for g in gens]
+        assert all(g[c] == c for g in images for c in base[:i])
+        assert tr.keys() == orbit_of(b, images, tuple.__getitem__)
+        assert all(decode(inv)[x] == b for x, inv in tr.items())
 
 
 def check_chain_against_brute(G):
@@ -244,7 +253,7 @@ def check_chain_against_brute(G):
     raw = [g.images for g in G.generators]
     elements = brute_elements(raw, degree)
     assert G.order() == len(elements)
-    check_levels(G._chain())
+    check_chain(G._chain())
     for a in range(degree):
         assert G.orbit(a) == {p[a] for p in elements}
     if degree <= 6:
@@ -332,10 +341,9 @@ def random_word(rng, gens, length=12):
 
 
 def full_walk_strip(chain, g):
-    """The residue of g sifted through every level of the chain, level b at
-    base point b, with each product rebuilt through the validating
-    constructor."""
-    for b, tr in enumerate(chain.transversals):
+    """The residue of g sifted through every level of the chain, with each
+    product rebuilt through the validating constructor."""
+    for b, tr in zip(chain.base, chain.transversals):
         img = g.images[b]
         if img != b:
             inv = tr.get(img)
@@ -347,7 +355,7 @@ def full_walk_strip(chain, g):
 
 def check_strip_depth(G, members, non_members):
     chain = G._chain()
-    check_levels(chain)
+    check_chain(chain)
     for g, member in [(g, True) for g in members] + [(g, False) for g in non_members]:
         residue = chain.strip(chain.encode(g.images))
         assert residue == chain.encode(full_walk_strip(chain, g).images)
@@ -383,16 +391,16 @@ def test_strip_depth_cut_symmetric_30():
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_strip_skips_trivial_levels_pgl(n):
-    # in the natural order the nontrivial levels are the basis vectors,
-    # points 2^i - 1: 6 of 32 levels for PGL(6,2), 7 of 64 for PGL(7,2)
+    # in the natural order the base is the basis vectors, points 2^i - 1,
+    # in discovery order: 6 of 63 points for PGL(6,2), 7 of 127 for PGL(7,2)
     rng = random.Random(n)
     gens = pgl2_generators(n)
     G = PermutationGroup(gens)
-    assert [b for b, _, _ in G._chain().levels] == [2**i - 1 for i in range(n)]
+    assert G._chain().base == [0, 1] + [2**i - 1 for i in range(n - 1, 1, -1)]
     members = [random_word(rng, gens) for _ in range(30)]
     # PGL(n,2) is simple, so a member times a transposition is outside; the
-    # transpositions move a level's base point, a skipped point between two
-    # levels and a point after the last level
+    # transpositions move a base point, a point between two base points and
+    # a point after the largest base point
     degree = G.degree
     swaps = [(1, 2), (5, 6), (2**n - 3, 2**n - 2), (1, 41)]
     non_members = [
@@ -412,16 +420,16 @@ def test_strip_skips_trivial_levels_pgl(n):
     ],
 )
 def test_strip_across_a_gap_of_trivial_levels(degree, text, b0):
-    # C3 x C3 with nontrivial levels at b0 and 199 only, on the byte kernel
-    # (250) and the tuple kernel (300)
+    # C3 x C3 with base points b0 and 199 only, on the byte kernel (250) and
+    # the tuple kernel (300)
     G = group_from_text(text, degree)
     b1 = 199
-    assert [(b, lo) for b, _, lo in G._chain().levels] == [(b0, 0), (b1, b0 + 1)]
+    assert G._chain().base == [b0, b1]
     elements = brute_elements([g.images for g in G.generators], degree)
     members = [Permutation(p) for p in sorted(elements)]
-    # each transposition (1-based) moves a gap point, a point after the last
-    # level, a point before the first level (when there is one) or a level's
-    # base point
+    # each transposition (1-based) moves a point between the base points, a
+    # point after the last, a point before the first (when there is one) or
+    # a base point
     swaps = [(100, 150), (150, 151), (240, 241), (degree - 1, degree), (b0 + 1, b0 + 2),
              (b1 + 1, b1 + 2)]
     if b0:
@@ -435,6 +443,22 @@ def test_strip_across_a_gap_of_trivial_levels(degree, text, b0):
     assert all(G.contains(g) for g in members)
     assert not any(G.contains(g) for g in non_members)
     check_strip_depth(G, members, non_members)
+
+
+def test_lone_transposition_at_max_degree_is_one_level():
+    # a level opens only at a point some generator moves, so the chain keeps
+    # no table per point of the degree
+    G = group_from_text(f"({MAX_DEGREE - 1},{MAX_DEGREE})", MAX_DEGREE)
+    outside = Permutation.from_cycles("(1,2)", MAX_DEGREE)
+    tracemalloc.start()
+    try:
+        assert G.order() == 2
+        assert G.contains(G.generators[0]) and not G.contains(outside)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20
+    assert G._chain().base == [MAX_DEGREE - 2]
 
 
 # Chains and Schreier generators use 256-byte strings up to degree 256 and
@@ -794,6 +818,25 @@ def transitive_groups(draw):
 def test_is_primitive_matches_every_beta_scan_random(G):
     assert G.is_transitive()
     assert_matches_scan(G)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_answers_do_not_depend_on_generator_order(name):
+    # the base follows the order of the generators; order and membership
+    # must not, under every rotation and the reversal of the list
+    G = SCAN_CASES[name]
+    gens = G.generators
+    rng = random.Random(name)
+    members = [random_word(rng, gens) for _ in range(10)]
+    swap = Permutation.from_cycles("(1,2)", G.degree)
+    candidates = members + [g * swap for g in members]
+    candidates += [Permutation(rng.sample(range(G.degree), G.degree)) for _ in range(10)]
+    want = [G.contains(g) for g in candidates]
+    assert all(want[:10]) and not all(want)
+    for reordered in [gens[i:] + gens[:i] for i in range(1, len(gens))] + [gens[::-1]]:
+        H = PermutationGroup(reordered, G.degree)
+        assert H.order() == G.order()
+        assert [H.contains(g) for g in candidates] == want
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
