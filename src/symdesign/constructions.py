@@ -112,32 +112,24 @@ class AmbientGroup:
     """A small group given by an element list and a multiplication rule.
 
     Elements are hashable labels; elements[0] is the identity.  The element
-    order is fixed so developments get reproducible point labels.  Inverses
-    and quotients x*y^-1 are tabulated once, by element position.
+    order is fixed so developments get reproducible point labels.  Products
+    x*y, inverses and quotients x*y^-1 are tabulated once, by element
+    position: developments read the products, the search the quotients.
     """
 
     def __init__(self, elements, op):
         self.elements = list(elements)
         self.op = op
         self.index = {e: i for i, e in enumerate(self.elements)}
-        product = [[self.index[op(x, y)] for y in self.elements] for x in self.elements]
-        self._inverse = [row.index(0) for row in product]
-        self._quotient = [[row[j] for j in self._inverse] for row in product]
+        self._product = [[self.index[op(x, y)] for y in self.elements] for x in self.elements]
+        self._inverse = [row.index(0) for row in self._product]
+        self._quotient = [[row[j] for j in self._inverse] for row in self._product]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def inv(self, x):
         return self.elements[self._inverse[self.index[x]]]
-
-    def _difference_counts(self, positions) -> list[int]:
-        """Counts of x*y^-1, x = y included, over positions, by position."""
-        counts = [0] * len(self.elements)
-        for x in positions:
-            row = self._quotient[x]
-            for y in positions:
-                counts[row[y]] += 1
-        return counts
 
 
 def cyclic(n: int) -> AmbientGroup:
@@ -165,8 +157,7 @@ _Q8_MUL = {
 
 
 def quaternion8_x_z2() -> AmbientGroup:
-    elems = [(u, s, t) for u in _Q8_UNITS for s in (1, -1) for t in (0, 1)]
-    elems.sort(key=lambda e: (e != ("1", 1, 0),))  # identity first, order stable
+    elems = [(u, s, t) for u in _Q8_UNITS for s in (1, -1) for t in (0, 1)]  # ("1", 1, 0) first
 
     def op(x, y):
         unit, sign = _Q8_MUL[(x[0], y[0])]
@@ -190,31 +181,24 @@ class DifferenceSetSpec:
     base_set: tuple
 
     def lam(self) -> int:
-        """Verify the difference property and return lambda."""
-        n, k = len(self.ambient), len(self.base_set)
-        if len(set(self.base_set)) != k:
+        """Lambda of the development's design check, which raises DesignError
+        on a base set that fails: a k-subset of a group of order v is a
+        (v, k, lambda) difference set exactly when its development is a
+        symmetric (v, k, lambda) design (Beth, Jungnickel and Lenz, *Design
+        Theory*, 1999, ch. VI), as x, y lie on one translate for each pair
+        d, d' in base_set with d d'^-1 = x y^-1."""
+        if len(set(self.base_set)) != len(self.base_set):
             raise ValueError("repeated base-set element")
-        if (k * (k - 1)) % (n - 1) != 0:
-            raise ValueError("k(k-1) not divisible by |G|-1")
-        lam = k * (k - 1) // (n - 1)
-        amb = self.ambient
-        counts = amb._difference_counts([amb.index[d] for d in self.base_set])
-        for e, count in zip(amb.elements[1:], counts[1:]):
-            if count != lam:
-                raise ValueError(
-                    f"element {e} occurs {count} times as a difference, expected {lam}"
-                )
-        return lam
+        return develop_difference_set(self).verify_symmetric().lam
 
 
 def develop_difference_set(spec: DifferenceSetSpec) -> IncidenceStructure:
-    """Design whose blocks are all translates base_set * g."""
-    spec.lam()
+    """The translates base_set * g, g in element order, read from the
+    ambient group's product table.  Nothing is checked: lam() and
+    verify_symmetric() do that."""
     amb = spec.ambient
-    blocks = []
-    for g in amb.elements:
-        blocks.append([amb.index[amb.op(d, g)] for d in spec.base_set])
-    return IncidenceStructure(len(amb), blocks)
+    rows = [amb._product[amb.index[d]] for d in spec.base_set]
+    return IncidenceStructure(len(amb), ([row[g] for row in rows] for g in range(len(amb))))
 
 
 def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
@@ -287,7 +271,7 @@ class NamedInstance:
 
 
 def _data_text(filename: str) -> str:
-    return resources.files("symdesign.data").joinpath(filename).read_text()
+    return resources.files("symdesign.data").joinpath(filename).read_text(encoding="utf-8")
 
 
 def load_group(filename: str) -> PermutationGroup:

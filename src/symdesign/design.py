@@ -102,8 +102,7 @@ class IncidenceStructure:
         return DesignParams(v, k, lam)
 
     def complement(self) -> "IncidenceStructure":
-        """Complement each block within the point set."""
-        self.verify_symmetric()
+        """Each block complemented within the point set; nothing is checked."""
         full = frozenset(range(self.v))
         return IncidenceStructure(self.v, [full - b for b in self.blocks])
 
@@ -205,5 +204,5 @@ def write_design_file(path, D: IncidenceStructure) -> None:
     # labels only for the points in use, so a sparse structure on a huge v stays cheap
     label = {pt: str(pt + 1) for pt in frozenset().union(*D.blocks)}
     lines = [",".join(map(label.__getitem__, blk)) for blk in D.blocks_sorted()]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([f"v {D.v}", *lines, ""]))

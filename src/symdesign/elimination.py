@@ -154,7 +154,7 @@ def corollary_families(lam: int):
     k = lam * (lam + 1)
     out.append((v, k, lam, lam * lam, lam + 2, lam))
     out.append((v, k, lam, lam + 2, lam * lam, 2))
-    if lam % 6 in (1, 3) and (lam * lam + 4 * lam - 1) % 4 == 0:
+    if lam % 6 in (1, 3):  # lam is odd, so 4 divides lam^2 + 4 lam - 1
         d = (lam * lam + 4 * lam - 1) // 4
         out.append(((lam + 6) * d, lam * (lam + 5) // 2, lam, lam + 6, d, 3))
     return out
@@ -191,7 +191,7 @@ EXTERNALLY_EXCLUDED = {"inline-891"}
 
 
 def load_catalog() -> list[CatalogRow]:
-    text = resources.files("symdesign.data").joinpath("catalog.txt").read_text()
+    text = resources.files("symdesign.data").joinpath("catalog.txt").read_text(encoding="utf-8")
     rows = []
     for line in text.splitlines():
         line = line.strip()

@@ -511,8 +511,9 @@ def orbit_of(seed, generators, act) -> set:
 @contextmanager
 def open_text(path):
     """path opened as UTF-8 text, whatever the locale, for a group or design
-    file reader; bytes that do not decode raise a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    file reader; a leading byte-order mark is dropped, and bytes that do not
+    decode raise a ValueError naming the file."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -569,7 +570,7 @@ def read_group_file(path) -> PermutationGroup:
 
 
 def write_group_file(path, group: PermutationGroup) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"degree {group.degree}\n")
         for g in group.generators:
             fh.write(g.cycle_string() + "\n")

@@ -300,19 +300,46 @@ def test_group_degree_limit(capsys, tmp_path):
     assert run(capsys, "group", "order", str(g_file)) == (2, "", message)
 
 
+def src_env() -> dict:
+    """The environment with this package's src/ first on PYTHONPATH, for a child process."""
+    src = str(Path(symdesign.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def group_order_under_1gib(resource, g_file):
     """`symdesign group order g_file` in a child process limited to 1 GiB
     of address space."""
-    src = str(Path(symdesign.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run(
         [sys.executable, "-m", "symdesign.cli", "group", "order", str(g_file)],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+        capture_output=True, text=True, env=src_env(), preexec_fn=limit_memory, timeout=60,
     )
+
+
+def test_every_text_file_names_its_encoding(tmp_path):
+    """Under -X warn_default_encoding and -W error::EncodingWarning, a text
+    file opened in the locale's encoding kills the command; the package
+    data, the readers and both writers must all name UTF-8."""
+    commands = [
+        (["construct", "unitary_45_12_3", "-o", "d.design", "--group-out", "g.grp"],
+         "unitary_45_12_3: (45,12,3)\nwrote d.design\nwrote g.grp\n"),
+        (["verify", "d.design"], "symmetric (45,12,3) (lambda prime)\n"),
+        (["group", "order", "g.grp"], "25920\n"),
+        (["flagtest", "g.grp", "d.design"], "flag-transitive: yes; primitive: yes\n"),
+        (["eliminate", "--table", "t1"],
+         "#R t1-fano PASS (4,2)\n#R t1-paley PASS (5,2) (6,3)\n#R t1-unitary PASS (12,3)\n"
+         "3 rows, 3 PASS, 0 not PASS\n"),
+    ]
+    for argv, stdout in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "symdesign.cli", *argv],
+            capture_output=True, text=True, env=src_env(), cwd=tmp_path, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, ""), argv
 
 
 def test_group_huge_degree_exits_before_allocating(tmp_path):
@@ -409,6 +436,37 @@ def test_verify_point_spellings_read_as_int(capsys, tmp_path, spelling, respelle
     respelled.write_text("v 7\n" + "\n".join(lines) + "\n")
     assert read_design_file(respelled) == read_design_file(plain)
     assert run(capsys, "verify", str(respelled)) == (0, "symmetric (7,3,1)\n", "")
+
+
+BOM = "\ufeff"
+
+
+def test_verify_reads_past_a_byte_order_mark(capsys, tmp_path):
+    d_file = tmp_path / "bom.design"
+    d_file.write_text(BOM + "v 7\n" + "\n".join(FANO_2_INSIDE) + "\n", encoding="utf-8")
+    assert run(capsys, "verify", str(d_file)) == (0, "symmetric (7,3,1)\n", "")
+
+
+def test_group_reads_past_a_byte_order_mark(capsys, tmp_path):
+    g_file = tmp_path / "bom.grp"
+    g_file.write_text(BOM + "degree 3\n(1,2,3)\n", encoding="utf-8")
+    assert run(capsys, "group", "order", str(g_file)) == (0, "3\n", "")
+
+
+def test_byte_order_mark_inside_a_block_is_a_bad_block(capsys, tmp_path):
+    d_file = tmp_path / "bom.design"
+    d_file.write_text(f"v 7\n{BOM}1,2,4\n", encoding="utf-8")
+    assert run(capsys, "verify", str(d_file)) == (
+        2, "", f"error: {d_file}: line 2: bad block {BOM + '1,2,4'!r}: {NOT_A_POINT}\n"
+    )
+
+
+def test_byte_order_mark_before_undecodable_bytes(capsys, tmp_path):
+    d_file = tmp_path / "bom.design"
+    d_file.write_bytes(BOM.encode() + b"v 7\n1,2,4\n\xff\n")
+    assert run(capsys, "verify", str(d_file)) == (
+        2, "", f"error: {d_file}: not UTF-8 text (invalid start byte)\n"
+    )
 
 
 def test_verify_huge_v_header_is_not_a_table_size(capsys, tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import sys
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from symdesign.constructions import (
     projective_space,
     quaternion8_x_z2,
 )
-from symdesign.design import write_design_file
+from symdesign.design import DesignError, write_design_file
 from symdesign.perm import write_group_file
 
 
@@ -183,6 +184,52 @@ def test_non_difference_set_rejected():
 def test_difference_set_rejects_repeats():
     with pytest.raises(ValueError):
         DifferenceSetSpec(cyclic(11), (1, 1, 4, 5, 9)).lam()
+
+
+def test_difference_set_failure_is_the_design_check():
+    with pytest.raises(DesignError) as exc:
+        DifferenceSetSpec(cyclic(11), (0, 1, 2, 3, 5)).lam()
+    assert (exc.value.code, str(exc.value)) == (
+        "pair_count", "point pair 1,2 lies on 3 blocks, expected 2"
+    )
+    with pytest.raises(ValueError, match="^repeated base-set element$"):
+        DifferenceSetSpec(cyclic(11), (0, 1, 1, 3, 5)).lam()
+
+
+def test_difference_set_in_trivial_group():
+    assert DifferenceSetSpec(cyclic(1), (0,)).lam() == 0
+
+
+def test_whole_group_is_no_difference_set():
+    # every translate of the whole group is the whole group
+    with pytest.raises(DesignError) as exc:
+        DifferenceSetSpec(cyclic(7), tuple(range(7))).lam()
+    assert exc.value.code == "repeated_block"
+
+
+def test_develop_builds_without_checking():
+    D = develop_difference_set(DifferenceSetSpec(cyclic(11), (0, 1, 2, 3, 5)))
+    assert D.blocks == [frozenset((g + d) % 11 for d in (0, 1, 2, 3, 5)) for g in range(11)]
+    with pytest.raises(DesignError, match="^point pair 1,2 "):
+        D.verify_symmetric()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_lam_matches_quotient_counts(n):
+    # every k-subset of Z_n holding 0, 1 <= k < n: lam() returns lambda
+    # exactly when each non-identity quotient occurs k(k-1)/(n-1) times
+    ambient = cyclic(n)
+    for k in range(1, n):
+        lam, rem = divmod(k * (k - 1), n - 1)
+        for rest in combinations(range(1, n), k - 1):
+            base = (0, *rest)
+            counts = _quotient_counts_by_op(ambient, base)
+            spec = DifferenceSetSpec(ambient, base)
+            if rem == 0 and all(counts.get(g, 0) == lam for g in ambient.elements[1:]):
+                assert spec.lam() == lam, base
+            else:
+                with pytest.raises(ValueError):
+                    spec.lam()
 
 
 def test_develop_paley():

@@ -167,6 +167,14 @@ def test_complement_involution_and_params():
     assert C.complement() == D
 
 
+def test_complement_does_not_check():
+    # two blocks on four points: no symmetric design, complemented all the same
+    D = IncidenceStructure(4, [(0, 1), (1, 2, 3)])
+    assert D.complement().blocks == [frozenset({2, 3}), frozenset({0})]
+    with pytest.raises(ValueError, match="^empty block$"):
+        IncidenceStructure(3, [(0, 1, 2)]).complement()
+
+
 def test_complement_of_paley():
     D = catalog("paley_11_5_2").design
     C = D.complement()

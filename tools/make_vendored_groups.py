@@ -93,7 +93,9 @@ def make_psl2_11() -> None:
     generating set.
     """
     D = develop_difference_set(DifferenceSetSpec(cyclic(11), (1, 3, 4, 5, 9)))
-    blocks = [frozenset(b) for b in D.blocks]
+    params = D.verify_symmetric()
+    assert (params.v, params.k, params.lam) == (11, 5, 2)
+    blocks = D.blocks
     autos: list[Permutation] = []
 
     def compatible(mapping):
