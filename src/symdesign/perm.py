@@ -12,7 +12,7 @@ through the kernels `_kernels(degree)` picks from the degree alone: up to
 degree 256 a permutation is a 256-byte string that fixes every point from
 degree on, composed by `bytes.translate` and inverted by `bytes.maketrans`,
 each one C call; above 256 it is an image tuple, composed by `_then`.
-`Permutation.images` is always a tuple.
+`Permutation.images` is always a tuple; `Permutation` has no product.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class Permutation:
             raise ValueError("images do not form a bijection")
         self.degree = len(images)
         self.images = images
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
@@ -93,21 +89,9 @@ class Permutation:
             out.append("(" + ",".join(str(p + 1) for p in cycle) + ")")
         return "".join(out) or "()"
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def image(self, points) -> frozenset[int]:
         """The image of a set of points."""
         return frozenset(map(self.images.__getitem__, points))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (self * other)(x) = self(other(x))."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(_then(other.images, self.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -120,10 +104,9 @@ class Permutation:
 
 
 def _then(inner: tuple, outer: tuple) -> tuple:
-    """The image tuple of x -> outer[inner[x]]: inner, then outer."""
-    # itemgetter of a single index returns the bare item, not a 1-tuple; the
-    # only bijection of degree 0 or 1 is the identity, so inner is the answer
-    return itemgetter(*inner)(outer) if len(inner) > 1 else inner
+    """The image tuple of x -> outer[inner[x]]: inner, then outer.  Only for
+    `_kernels` above degree 256, where itemgetter of many indices is a tuple."""
+    return itemgetter(*inner)(outer)
 
 
 def _invert(images: tuple) -> tuple:

@@ -20,7 +20,9 @@ stabilizer chain, not from the Schreier generators that subdegrees and
 point_stabilizer use, so that chain_subdegrees and flag_transitive_two_step
 check those against the chain and not against themselves.
 group_from_text, pgl2_generators and relabelled are no oracles: they build
-test groups, the first through the library's group-file parser.
+test groups, the first through the library's group-file parser.  compose
+and conjugate multiply permutations for tests, through the checking
+constructor, since the library composes only inside its kernels.
 brent_rho_reference is no independent oracle either: it is the Brent rho
 loop with one product per step, kept to pin that the library's batched loop
 returns the same factor.
@@ -61,10 +63,25 @@ def pgl2_generators(n):
     return [act(transvection), act(cycle)]
 
 
+def compose(outer, inner):
+    """The permutation x -> outer(inner(x)), built through the checking
+    constructor."""
+    return Permutation([outer.images[y] for y in inner.images])
+
+
+def conjugate(g, t):
+    """t g t^-1, which carries t(x) to t(g(x)), built through the checking
+    constructor."""
+    images = [0] * g.degree
+    for x, y in enumerate(g.images):
+        images[t.images[x]] = t.images[y]
+    return Permutation(images)
+
+
 def relabelled(gens, rng):
     """The generators conjugated by one random relabelling of the points."""
     relabel = Permutation(rng.sample(range(gens[0].degree), gens[0].degree))
-    return [relabel * g * relabel.inverse() for g in gens]
+    return [conjugate(g, relabel) for g in gens]
 
 
 def sieve_primes(limit: int) -> list[bool]:
@@ -348,13 +365,13 @@ def chain_stabilizer(G, point):
     swap = list(range(G.degree))
     swap[0], swap[point] = point, 0
     t = Permutation(swap)
-    moved = sorted((t * g * t for g in G.generators), key=lambda g: g(0) == 0)
-    if not moved or moved[0](0) == 0:
+    moved = sorted((conjugate(g, t) for g in G.generators), key=lambda g: g.images[0] == 0)
+    if not moved or moved[0].images[0] == 0:
         return PermutationGroup(G.generators, G.degree)
     chain = PermutationGroup(moved, G.degree)._chain()
     assert chain.base[0] == 0
     level1 = chain.gens[1] if len(chain.gens) > 1 else []
-    stabilizer = [t * Permutation(chain.decode(h)) * t for h in level1]
+    stabilizer = [conjugate(Permutation(chain.decode(h)), t) for h in level1]
     return PermutationGroup(stabilizer, G.degree)
 
 
@@ -390,7 +407,7 @@ def flag_transitive_two_step(G, D) -> bool:
         nxt = []
         for blk in frontier:
             for g in stab.generators:
-                img = frozenset(g(x) for x in blk)
+                img = frozenset(g.images[x] for x in blk)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)

@@ -165,6 +165,7 @@ AGREEMENT_CASES = [
     (3838185, 15482880, None),
     (3159, 2903040, None),
     (22113, 415720, None),
+    (22113, 414720, None),
     (2401, 2400, None),
     (1001, 5040, None),
     (11, 1, None),
@@ -430,6 +431,16 @@ def test_catalog_externally_excluded_note():
         assert "external" in by_id[row_id].note
 
 
+def test_inline_omega7_row_derives_from_the_group_order():
+    # X = Omega_7(3) on the nondegenerate minus-type 2-spaces, X_alpha =
+    # (Omega_2^-(3) x Omega_5(3)).4 (class C1, Kleidman-Liebeck 1990), with
+    # |Omega_2^-(3)| = (3 + 1)/2 and Omega_5(3) of the order of PSp_4(3)
+    x = spec("OmegaOdd", 7, 3)
+    row = next(r for r in load_catalog() if r.id == "inline-omega7")
+    assert row.v * ((3 + 1) // 2 * simple_order(spec("PSp", 4, 3)) * 4) == simple_order(x)
+    assert row.k_bound == out_order(x) * simple_order(x) // row.v == 414720
+
+
 def test_run_catalog_table_filter():
     t1 = run_catalog("t1")
     assert [r.row.id for r in t1] == ["t1-fano", "t1-paley", "t1-unitary"]
@@ -455,3 +466,12 @@ def test_run_row_reports_scan_error_as_inconclusive(monkeypatch):
     monkeypatch.setattr(elimination, "admissible", fail)
     rep = run_row(load_catalog()[0])
     assert (rep.pairs, rep.status, rep.note) == ((), "INCONCLUSIVE", "factorization gave up")
+
+
+def test_run_row_lets_a_bug_in_the_scan_raise(monkeypatch):
+    def broken(v, k_bound, required_lambda):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(elimination, "admissible", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_row(load_catalog()[0])

@@ -16,6 +16,8 @@ from oracles import (
     brute_orbital_block,
     brute_subdegrees,
     chain_subdegrees,
+    compose,
+    conjugate,
     group_from_text,
     pgl2_generators,
     relabelled,
@@ -43,8 +45,8 @@ SIGMA1 = (
 def perm_order(g):
     n = 1
     h = g
-    while h != Permutation.identity(g.degree):
-        h = h * g
+    while h != Permutation(range(g.degree)):
+        h = compose(h, g)
         n += 1
     return n
 
@@ -52,7 +54,9 @@ def perm_order(g):
 def test_parse_sigma1():
     g = Permutation.from_cycles(SIGMA1, 45)
     assert perm_order(g) == 5
-    assert Permutation.from_cycles(g.cycle_string(), 45) == g
+    # equal images, parsed or given as a list, make equal permutations
+    for h in (Permutation.from_cycles(g.cycle_string(), 45), Permutation(list(g.images))):
+        assert h == g and hash(h) == hash(g) and type(h.images) is tuple
 
 
 def test_parse_empty_is_identity():
@@ -73,11 +77,6 @@ def test_parse_cycle_type():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         Permutation.from_cycles(text, 5)
-
-
-def test_compose_inverse_identity():
-    g = Permutation.from_cycles("(1,2,3)(4,5)", 6)
-    assert g * g.inverse() == Permutation.identity(6)
 
 
 @pytest.mark.parametrize("images", [(0, 0, 1), [1, 2]])
@@ -110,34 +109,11 @@ def test_constructor_rejects_non_bijection(images):
             "alpha and beta must differ",
             id="minimal_block",
         ),
-        pytest.param(
-            lambda: Permutation([1, 0]) * Permutation([0, 1, 2]), "degree mismatch", id="product"
-        ),
     ],
 )
 def test_bad_arguments_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 9).flatmap(
-        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
-    )
-)
-def test_products_and_inverses_match_validated(pair):
-    p, q = Permutation(pair[0]), Permutation(pair[1])
-    n = p.degree
-    # rebuilt through the validating constructor, from the definitions
-    product_ = Permutation([p.images[q.images[x]] for x in range(n)])
-    inverse = Permutation([p.images.index(x) for x in range(n)])
-    for got, want in ((p * q, product_), (p.inverse(), inverse)):
-        assert got == want and got.images == want.images
-        assert type(got.images) is tuple and got.degree == n
-        assert hash(got) == hash(want)
-    assert p * p.inverse() == Permutation.identity(n)
-    assert p.inverse() * p == Permutation.identity(n)
 
 
 def test_orbit_sigma_group_transitive():
@@ -178,13 +154,13 @@ def test_contains():
         "(15,44,43)(17,32,29)(18,30,33)(20,23,26)(21,27,24)",
         45,
     )
-    assert S.contains(s3 * s5)
+    assert S.contains(compose(s3, s5))
 
 
 def test_contains_degree_mismatch():
     G = group_from_text("(1,2,3)", 3)
     with pytest.raises(ValueError):
-        G.contains(Permutation.identity(4))
+        G.contains(Permutation(range(4)))
 
 
 def test_contains_generator_products():
@@ -192,9 +168,9 @@ def test_contains_generator_products():
         G = load_group(name)
         gens = G.generators
         for a, b in combinations(gens, 2):
-            assert G.contains(a * b)
+            assert G.contains(compose(a, b))
         for a, b, c in list(product(gens, repeat=3))[:40]:
-            assert G.contains(a * (b * c))
+            assert G.contains(compose(a, compose(b, c)))
 
 
 def test_point_stabilizer_sym3():
@@ -206,7 +182,7 @@ def test_point_stabilizer_sigma():
     G = load_group("sigma45.grp")
     stab = G.point_stabilizer(0)
     assert stab.order() == 72
-    assert all(g(0) == 0 for g in stab.generators)
+    assert all(g.images[0] == 0 for g in stab.generators)
 
 
 def test_point_stabilizer_identity_group():
@@ -261,7 +237,7 @@ def check_chain_against_brute(G):
             assert G.contains(Permutation(images)) == (images in elements), images
     for a in range(degree):
         stab = G.point_stabilizer(a)
-        assert all(g(a) == a and g.images in elements for g in stab.generators)
+        assert all(g.images[a] == a and g.images in elements for g in stab.generators)
         assert stab.order() == sum(1 for p in elements if p[a] == a)
 
 
@@ -289,9 +265,9 @@ def test_schreier_sims_vs_brute_closure():
         check_chain_against_brute(G)
     for G in (
         PermutationGroup([], 5),
-        PermutationGroup([Permutation.identity(5)]),
+        PermutationGroup([Permutation(range(5))]),
         PermutationGroup([], 1),
-        PermutationGroup([Permutation.identity(1)]),
+        PermutationGroup([Permutation(range(1))]),
     ):
         check_chain_against_brute(G)
 
@@ -334,9 +310,9 @@ def gl2_order(n):
 
 
 def random_word(rng, gens, length=12):
-    g = Permutation.identity(gens[0].degree)
+    g = Permutation(range(gens[0].degree))
     for _ in range(length):
-        g = g * rng.choice(gens)
+        g = compose(g, rng.choice(gens))
     return g
 
 
@@ -385,7 +361,7 @@ def test_strip_depth_cut_symmetric_30():
     check_strip_depth(
         H,
         [random_word(rng, H.generators) for _ in range(30)],
-        [g for g in randoms if g(29) != 29],
+        [g for g in randoms if g.images[29] != 29],
     )
 
 
@@ -404,7 +380,8 @@ def test_strip_skips_trivial_levels_pgl(n):
     degree = G.degree
     swaps = [(1, 2), (5, 6), (2**n - 3, 2**n - 2), (1, 41)]
     non_members = [
-        g * Permutation.from_cycles(f"({x},{y})", degree) for g in members for x, y in swaps
+        compose(g, Permutation.from_cycles(f"({x},{y})", degree))
+        for g in members for x, y in swaps
     ]
     assert G.order() == gl2_order(n)
     check_strip_depth(G, members, non_members)
@@ -435,9 +412,10 @@ def test_strip_across_a_gap_of_trivial_levels(degree, text, b0):
     if b0:
         swaps += [(1, 2), (b0, b0 + 1)]
     non_members = [
-        g * Permutation.from_cycles(f"({x},{y})", degree) for g in members for x, y in swaps
+        compose(g, Permutation.from_cycles(f"({x},{y})", degree))
+        for g in members for x, y in swaps
     ]
-    non_members += [Permutation.from_cycles(f"({x},{y})", degree) * g for g in members[:3]
+    non_members += [compose(Permutation.from_cycles(f"({x},{y})", degree), g) for g in members[:3]
                     for x, y in swaps]
     assert not any(g.images in elements for g in non_members)
     assert all(G.contains(g) for g in members)
@@ -506,7 +484,8 @@ def test_chain_at_kernel_boundary(degree):
         members = [Permutation(p) for p in sorted(elements)]
         swap = Permutation.from_cycles(f"(1,{degree - 4})", degree)
         non_members = [Permutation(rng.sample(range(degree), degree)) for _ in range(10)]
-        non_members += [g * swap for g in members[:10]] + [swap * g for g in members[-10:]]
+        non_members += [compose(g, swap) for g in members[:10]]
+        non_members += [compose(swap, g) for g in members[-10:]]
         non_members = [g for g in non_members if g.images not in elements]
         assert len(non_members) >= 20
         assert all(G.contains(g) for g in members)
@@ -521,7 +500,7 @@ def test_stabilizers_at_kernel_boundary(degree):
         for point in (0, 1, degree // 2, degree - 1):
             assert G.subdegrees(point) == brute_subdegrees(elements, point)
             stab = G.point_stabilizer(point)
-            assert all(g(point) == point and g.images in elements for g in stab.generators)
+            assert all(g.images[point] == point and g.images in elements for g in stab.generators)
             assert stab.order() == sum(1 for g in elements if g[point] == point)
         primitive, system = G.is_primitive()
         blocks = {brute_orbital_block(elements, 0, beta) for beta in range(1, degree)}
@@ -543,7 +522,7 @@ def is_even(g):
         pt = start
         while pt not in seen:
             seen.add(pt)
-            pt = g(pt)
+            pt = g.images[pt]
             length += 1
         transpositions += max(length - 1, 0)
     return transpositions % 2 == 0
@@ -557,7 +536,7 @@ def test_strip_depth_cut_relabelled_pgl_5_2():
     # PGL(5,2) is simple, so it has only even permutations; a member times a
     # transposition is odd and outside
     swap = Permutation.from_cycles("(1,2)", 31)
-    non_members = [g * swap for g in members]
+    non_members = [compose(g, swap) for g in members]
     for _ in range(40):
         g = Permutation(rng.sample(range(31), 31))
         if not is_even(g):
@@ -620,13 +599,13 @@ def test_subdegrees_build_no_chain(n):
     G = PermutationGroup(pgl2_generators(n))
     assert G.subdegrees(0) == [1, 2**n - 2]
     stab = G.point_stabilizer(0)
-    assert stab.generators and all(g(0) == 0 for g in stab.generators)
+    assert stab.generators and all(g.images[0] == 0 for g in stab.generators)
     assert G._stabilizer_chain is None
 
 
 def test_subdegrees_degree_one_and_two():
     assert PermutationGroup([], 1).subdegrees(0) == [1]
-    assert PermutationGroup([Permutation.identity(1)]).subdegrees(0) == [1]
+    assert PermutationGroup([Permutation(range(1))]).subdegrees(0) == [1]
     G = group_from_text("(1,2)", 2)
     assert G.subdegrees(0) == G.subdegrees(1) == [1, 1]
 
@@ -641,13 +620,13 @@ def test_subdegrees_regular_group():
 def test_subdegrees_identity_and_repeated_generators():
     g = Permutation.from_cycles("(1,2,3,4,5,6)", 6)
     r = Permutation.from_cycles("(2,6)(3,5)", 6)
-    for gens in ([Permutation.identity(6), g], [g, g], [g, Permutation.identity(6), g]):
+    for gens in ([Permutation(range(6)), g], [g, g], [g, Permutation(range(6)), g]):
         assert PermutationGroup(gens).subdegrees(2) == [1, 1, 1, 1, 1, 1]
-    for gens in ([g, r, r], [r, Permutation.identity(6), g, g]):
+    for gens in ([g, r, r], [r, Permutation(range(6)), g, g]):
         G = PermutationGroup(gens)  # the dihedral group of order 12
         for p in range(6):
             assert G.subdegrees(p) == [1, 1, 2, 2] == chain_subdegrees(G, p)
-    G = PermutationGroup([Permutation.identity(31)] + pgl2_generators(5) * 2)
+    G = PermutationGroup([Permutation(range(31))] + pgl2_generators(5) * 2)
     assert G.subdegrees(7) == [1, 30]
 
 
@@ -722,7 +701,7 @@ def test_is_primitive_sigma_witness():
     assert [min(cls) for cls in classes] == [0, 1, 2, 3, 4]
     for g in G.generators:
         for cls in classes:
-            assert frozenset(g(p) for p in cls) in classes
+            assert frozenset(g.images[p] for p in cls) in classes
 
 
 def test_is_primitive_prime_degree():
@@ -810,7 +789,7 @@ def transitive_groups(draw):
     if draw(st.booleans()) or not PermutationGroup(gens, degree).is_transitive():
         gens.append(Permutation((x + 1) % degree for x in range(degree)))
     relabel = Permutation(draw(st.permutations(range(degree))))
-    return PermutationGroup([relabel * g * relabel.inverse() for g in gens], degree)
+    return PermutationGroup([conjugate(g, relabel) for g in gens], degree)
 
 
 @settings(max_examples=100, deadline=None)
@@ -829,7 +808,7 @@ def test_answers_do_not_depend_on_generator_order(name):
     rng = random.Random(name)
     members = [random_word(rng, gens) for _ in range(10)]
     swap = Permutation.from_cycles("(1,2)", G.degree)
-    candidates = members + [g * swap for g in members]
+    candidates = members + [compose(g, swap) for g in members]
     candidates += [Permutation(rng.sample(range(G.degree), G.degree)) for _ in range(10)]
     want = [G.contains(g) for g in candidates]
     assert all(want[:10]) and not all(want)
@@ -898,7 +877,7 @@ def test_is_primitive_tests_one_point_per_suborbit(monkeypatch, name):
 
 def test_is_primitive_degree_one_and_two():
     assert PermutationGroup([], 1).is_primitive() == (True, None)
-    assert PermutationGroup([Permutation.identity(1)]).is_primitive() == (True, None)
+    assert PermutationGroup([Permutation(range(1))]).is_primitive() == (True, None)
     assert group_from_text("(1,2)", 2).is_primitive() == (True, None)
     assert group_from_text("()\n(1,2)", 2).is_primitive() == (True, None)
 
@@ -916,10 +895,10 @@ def test_is_primitive_regular_groups(monkeypatch):
 
 def test_is_primitive_identity_and_repeated_generators():
     g = Permutation.from_cycles("(1,2,3,4,5,6)", 6)
-    for gens in ([Permutation.identity(6), g], [g, g], [g, Permutation.identity(6), g]):
+    for gens in ([Permutation(range(6)), g], [g, g], [g, Permutation(range(6)), g]):
         primitive, system = assert_matches_scan(PermutationGroup(gens))
         assert not primitive and system.classes()[0] == {0, 3}
-    G = PermutationGroup([Permutation.identity(31)] + pgl2_generators(5) * 2)
+    G = PermutationGroup([Permutation(range(31))] + pgl2_generators(5) * 2)
     assert assert_matches_scan(G) == (True, None)
 
 
@@ -966,7 +945,7 @@ def test_group_file_round_trip(tmp_path):
 
 
 def test_group_file_round_trip_identity_generator(tmp_path):
-    G = PermutationGroup([Permutation.identity(5), Permutation.from_cycles("(1,2,3)", 5)])
+    G = PermutationGroup([Permutation(range(5)), Permutation.from_cycles("(1,2,3)", 5)])
     path = tmp_path / "g.grp"
     write_group_file(path, G)
     assert path.read_text() == "degree 5\n()\n(1,2,3)\n"
@@ -1036,9 +1015,9 @@ def test_concurrent_chain_build(monkeypatch):
     builds.clear()
     G = load_group("psu4_2.grp")
     gens = G.generators
-    members = [a * b for a, b in product(gens, repeat=2)]
+    members = [compose(a, b) for a, b in product(gens, repeat=2)]
     swap = Permutation.from_cycles("(1,2)", G.degree)
-    queries = [(g, True) for g in members] + [(g * swap, False) for g in members]
+    queries = [(g, True) for g in members] + [(compose(g, swap), False) for g in members]
     answers = []
     start = threading.Barrier(4)
 
