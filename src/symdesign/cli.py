@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: construct, verify, group, flagtest, eliminate, families.
-Exit codes: 0 expected outcome, 1 violated expectation, 2 usage error.
+Exit codes: 0 expected outcome, 1 violated expectation, 2 usage error;
+`main` alone turns a raised error into its code and its message.
 Machine-readable report lines are prefixed with #R.
 """
 
@@ -15,35 +16,39 @@ from . import algebra, constructions, design, elimination, perm
 from .design import read_design_file
 
 
+class UsageError(Exception):
+    """Bad outside input; `main` prints it as `error: ...` and exits 2."""
+
+
 def _int_arg(form: str, name: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SystemExit2(f"construct {form}: {name} must be an integer, got {text!r}") from None
+        raise UsageError(f"construct {form}: {name} must be an integer, got {text!r}") from None
 
 
 def _outside(call, *args):
-    """call(*args) on outside input: a bad file or parameter exits 2 with its message."""
+    """call(*args) on outside input: a bad file or parameter is a UsageError."""
     try:
         return call(*args)
     except (OSError, ValueError) as exc:
-        raise SystemExit2(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_construct(args) -> int:
     group = None
     if args.what[0] == "pg":
         if len(args.what) != 3:
-            raise SystemExit2("construct pg needs: pg N Q")
+            raise UsageError("construct pg needs: pg N Q")
         n, q = _int_arg("pg", "N", args.what[1]), _int_arg("pg", "Q", args.what[2])
         D = _outside(constructions.projective_space, n, q)
         label = f"pg({n},{q})"
     elif args.what[0] == "diffset":
         if len(args.what) != 4:
-            raise SystemExit2("construct diffset needs: diffset AMBIENT K LAMBDA")
+            raise UsageError("construct diffset needs: diffset AMBIENT K LAMBDA")
         ambient_name = args.what[1]
         if ambient_name not in constructions._AMBIENTS:
-            raise SystemExit2(
+            raise UsageError(
                 f"unknown ambient group {ambient_name!r}; choose from"
                 f" {sorted(constructions._AMBIENTS)}"
             )
@@ -58,15 +63,13 @@ def _cmd_construct(args) -> int:
         label = f"development of {sorted(spec.ambient.index[e] for e in spec.base_set)}"
     else:
         if len(args.what) != 1:
-            raise SystemExit2("construct takes one catalog name, or pg/diffset forms")
+            raise UsageError("construct takes one catalog name, or pg/diffset forms")
         try:
             inst = constructions.catalog(args.what[0])
         except KeyError as exc:
-            raise SystemExit2(exc.args[0])
+            raise UsageError(exc.args[0])
         D, group, label = inst.design, inst.group, inst.name
-    params = _verified(D)
-    if params is None:
-        return 1
+    params = D.verify_symmetric()
     print(f"{label}: ({params.v},{params.k},{params.lam})")
     if args.output:
         _write(design.write_design_file, args.output, D)
@@ -82,23 +85,12 @@ def _write(writer, path, obj) -> None:
     try:
         writer(path, obj)
     except OSError as exc:
-        raise SystemExit2(f"{path}: {exc.strerror or exc}") from None
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
     print(f"wrote {path}")
 
 
-def _verified(D: design.IncidenceStructure):
-    """D's parameters, or None after printing the first violation."""
-    try:
-        return D.verify_symmetric()
-    except design.DesignError as exc:
-        print(f"not a symmetric design [{exc.code}]: {exc}")
-        return None
-
-
 def _cmd_verify(args) -> int:
-    params = _verified(_outside(read_design_file, args.design))
-    if params is None:
-        return 1
+    params = _outside(read_design_file, args.design).verify_symmetric()
     trivial = "" if params.nontrivial else " (trivial)"
     lam_note = " (lambda prime)" if algebra.is_prime(params.lam) else ""
     print(f"symmetric ({params.v},{params.k},{params.lam}){trivial}{lam_note}")
@@ -109,7 +101,7 @@ def _cmd_group(args) -> int:
     G = _outside(perm.read_group_file, args.group)
     point = args.point - 1
     if not 0 <= point < G.degree:
-        raise SystemExit2(f"--point must be in 1..{G.degree}")
+        raise UsageError(f"--point must be in 1..{G.degree}")
     if args.query in ("subdegrees", "primitive") and not G.is_transitive():
         print("group is not transitive")
         return 1
@@ -159,7 +151,7 @@ def _cmd_eliminate(args) -> int:
         print(f"{len(reports)} rows, {len(reports) - bad} PASS, {bad} not PASS")
         return 0 if bad == 0 else 1
     if args.v is None or args.bound is None:
-        raise SystemExit2("eliminate needs --table ID or both --v and --bound")
+        raise UsageError("eliminate needs --table ID or both --v and --bound")
     print(_pairs_text(_outside(elimination.admissible, args.v, args.bound, args.required_lambda)))
     return 0
 
@@ -170,16 +162,10 @@ def _pairs_text(pairs) -> str:
 
 def _cmd_families(args) -> int:
     if args.lam < 2 or not algebra.is_prime(args.lam):
-        raise SystemExit2("--lambda must be prime")
+        raise UsageError("--lambda must be prime")
     for v, k, lam, c, d, length in elimination.corollary_families(args.lam):
         print(f"(v,k,lambda,c,d,l) = ({v},{k},{lam},{c},{d},{length})")
     return 0
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
 
 
 @functools.cache
@@ -224,12 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
-        return exc.code
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except design.DesignError as exc:
+        print(f"not a symmetric design [{exc.code}]: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

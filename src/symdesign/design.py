@@ -68,6 +68,8 @@ class IncidenceStructure:
         condition needs no check: v distinct blocks of size k covering every
         point pair exactly lambda times form a symmetric design, so by
         Ryser's theorem any two blocks meet in exactly lambda points.
+        Pairs are counted from one bitmask of blocks per point, and the
+        first bad pair in lexicographic order is named.
         """
         v = self.v
         if len(self._position) != len(self.blocks):

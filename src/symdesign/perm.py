@@ -269,9 +269,13 @@ class PermutationGroup:
                 chain = self._stabilizer_chain
         return chain
 
+    def _check_points(self, points) -> None:
+        for pt in points:
+            if not 0 <= pt < self.degree:
+                raise ValueError("point out of range")
+
     def orbit(self, point: int) -> frozenset[int]:
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
+        self._check_points((point,))
         images = [g.images for g in self.generators]
         return frozenset(orbit_of(point, images, tuple.__getitem__))
 
@@ -301,8 +305,7 @@ class PermutationGroup:
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         """The stabilizer of point, generated by its Schreier generators
         (Schreier's lemma); no stabilizer chain is built."""
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
+        self._check_points((point,))
         _, decode, *_ = _kernels(self.degree)
         return PermutationGroup(
             (Permutation(decode(h)) for h in self._schreier_generators(point)), self.degree
@@ -312,8 +315,7 @@ class PermutationGroup:
         """Sorted orbit lengths of the stabilizer of point (G transitive)."""
         if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
+        self._check_points((point,))
         return sorted(Counter(self._suborbits(point)).values())
 
     def _suborbits(self, point: int) -> tuple[int, ...]:
@@ -380,6 +382,7 @@ class PermutationGroup:
         The classes of a G-invariant partition are blocks, so this holds for
         transitive and intransitive groups alike.
         """
+        self._check_points((alpha, beta))
         if alpha == beta:
             raise ValueError("alpha and beta must differ")
         least = self._congruence((alpha, beta))
@@ -442,6 +445,7 @@ class PermutationGroup:
         not cover every point.
         """
         block = frozenset(block)
+        self._check_points(block)
         least = self._congruence(block)
         sizes = Counter(least)
         if block and sizes[least[min(block)]] > len(block):

@@ -109,6 +109,21 @@ def test_constructor_rejects_non_bijection(images):
             "alpha and beta must differ",
             id="minimal_block",
         ),
+        pytest.param(
+            lambda: group_from_text("(1,2,3,4,5,6)", 6).minimal_block(0, -3),
+            "point out of range",
+            id="minimal_block-negative",
+        ),
+        pytest.param(
+            lambda: group_from_text("(1,2,3,4,5,6)", 6).minimal_block(0, 6),
+            "point out of range",
+            id="minimal_block-degree",
+        ),
+        pytest.param(
+            lambda: group_from_text("(1,2,3,4,5,6)", 6).block_system({0, -3}),
+            "point out of range",
+            id="block_system-negative",
+        ),
     ],
 )
 def test_bad_arguments_raise(call, message):

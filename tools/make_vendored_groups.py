@@ -58,6 +58,19 @@ def greedy_group(candidates, degree: int, order: int) -> PermutationGroup:
     return G
 
 
+def induced(F: FieldTable, points, f) -> Permutation:
+    """The permutation that the vector map f induces on points, projective
+    points over F normalized to first nonzero coordinate 1: each image is
+    scaled by the inverse of its first nonzero coordinate."""
+    index = {v: i for i, v in enumerate(points)}
+    images = []
+    for v in points:
+        w = f(v)
+        lead = next(c for c in w if c != 0)
+        images.append(index[tuple(F.mul[F.inv[lead]][c] for c in w)])
+    return Permutation(images)
+
+
 def make_sigma45() -> None:
     gens = [Permutation.from_cycles(s, 45) for s in SIGMA_GENERATORS]
     G = PermutationGroup(gens, 45)
@@ -67,15 +80,13 @@ def make_sigma45() -> None:
 
 def make_psl2_7() -> None:
     """GL(3,2) ~ PSL(2,7) acting on the 7 points of PG(2,2)."""
+    F = FieldTable(PrimePower(2, 1))
     pts = pg_points(3, 2)
-    index = {v: i for i, v in enumerate(pts)}
 
     def mat_perm(m):
-        images = []
-        for v in pts:
-            w = tuple(sum(v[i] * m[i][j] for i in range(3)) % 2 for j in range(3))
-            images.append(index[w])
-        return Permutation(images)
+        return induced(
+            F, pts, lambda v: tuple(sum(v[i] * m[i][j] for i in range(3)) % 2 for j in range(3))
+        )
 
     a = mat_perm([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     b = mat_perm([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -152,17 +163,12 @@ def make_psu4_2() -> None:
     assert len(iso) == 45, len(iso)
     index = {v: i for i, v in enumerate(iso)}
 
-    def normalize(v):
-        lead = next(c for c in v if c != 0)
-        return tuple(F.mul[F.inv[lead]][c] for c in v)
-
     def transvection(v):
-        images = []
-        for x in iso:
+        def f(x):
             coef = h(x, v)
-            img = tuple(F.add[xi][F.mul[coef][vi]] for xi, vi in zip(x, v))
-            images.append(index[normalize(img)])
-        return Permutation(images)
+            return tuple(F.add[xi][F.mul[coef][vi]] for xi, vi in zip(x, v))
+
+        return induced(F, iso, f)
 
     G = greedy_group(map(transvection, iso), 45, 25920)
     assert G.order() == 25920, G.order()
