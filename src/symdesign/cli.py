@@ -163,7 +163,8 @@ def _pairs_text(pairs) -> str:
 def _cmd_families(args) -> int:
     if args.lam < 2 or not algebra.is_prime(args.lam):
         raise UsageError("--lambda must be prime")
-    for v, k, lam, c, d, length in elimination.corollary_families(args.lam):
+    # one line per family, in first-seen order: two rules can give the same one
+    for v, k, lam, c, d, length in dict.fromkeys(elimination.corollary_families(args.lam)):
         print(f"(v,k,lambda,c,d,l) = ({v},{k},{lam},{c},{d},{length})")
     return 0
 

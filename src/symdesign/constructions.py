@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress, product
+from itertools import product
 from math import prod
 
 from .algebra import FieldTable, PrimePower
@@ -62,6 +62,9 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
     byte is one bytes.translate, so every field addition runs inside it.
     dots and every are memoized for the tails of length <= n-2, built
     bottom-up; the two leading coordinates of a are expanded per hyperplane.
+    A second translate maps each dot product to the ASCII digit "1" when it
+    is 0 and "0" otherwise, so the reversed string, read by int(..., 2), is
+    the hyperplane's mask.
     """
     if n < 3:
         raise ValueError("projective_space needs n >= 3")
@@ -81,10 +84,9 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
             every[t] = b"".join([rest.translate(plus[s]) for s in mul[t[0]]])
             dots[t] = dots[t[1:]] + rest.translate(plus[t[0]])
     pts = pg_points(n, q)
-    points = list(range(len(pts)))  # one int object per point, shared by all blocks
-    is_zero = b"\1" + bytes(255)  # translate table: 0 -> 1, else 0
+    to_digit = b"1" + b"0" * 255  # translate table: 0 -> "1", else "0"
 
-    def blocks():
+    def masks():
         for a in pts:
             a0, a1, u = a[0], a[1], a[2:]
             rest = every[u]
@@ -92,9 +94,9 @@ def projective_space(n: int, q: int) -> IncidenceStructure:
             # every(u) + a1 c + a0 for c = 0..q-1
             parts = [dots[u], rest.translate(plus[a1])]
             parts += [rest.translate(plus[add[a0][s]]) for s in mul[a1]]
-            yield compress(points, b"".join(parts).translate(is_zero))
+            yield int(b"".join(parts).translate(to_digit)[::-1], 2)
 
-    return IncidenceStructure(len(pts), blocks())
+    return IncidenceStructure.from_masks(len(pts), masks())
 
 
 def pg_params(n: int, q: int) -> tuple[int, int, int]:
@@ -279,8 +281,8 @@ def load_group(filename: str) -> PermutationGroup:
     return parse_group_text(_data_text(filename), filename)
 
 
-def _block_from_file(filename: str) -> frozenset[int]:
-    return frozenset(int(s) - 1 for s in _data_text(filename).split(","))
+def _block_from_file(filename: str) -> list[int]:
+    return [int(s) - 1 for s in _data_text(filename).split(",")]
 
 
 def _paley() -> IncidenceStructure:
@@ -310,7 +312,7 @@ _CATALOG = {
     ),
     "imprimitive_45_12_3": (
         lambda G: orbit_design(
-            G, frozenset(x - 1 for x in (1, 2, 3, 4, 6, 11, 19, 28, 36, 40, 41, 45))
+            G, [x - 1 for x in (1, 2, 3, 4, 6, 11, 19, 28, 36, 40, 41, 45)]
         ),
         "sigma45.grp", (45, 12, 3), (True, False),
     ),

@@ -145,7 +145,8 @@ def corollary_families(lam: int):
     """Imprimitivity parameter families for a prime lambda.
 
     Returns tuples (v, k, lambda, c, d, l) where c*d = v and every block
-    meets a class in 0 or l points.
+    meets a class in 0 or l points, one per rule that applies, so two
+    rules that coincide give equal tuples (lambda = 2 and 3).
     """
     if not is_prime(lam):
         raise ValueError("lambda must be prime")

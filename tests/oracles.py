@@ -415,6 +415,13 @@ def flag_transitive_two_step(G, D) -> bool:
     return len(seen) == len(through)
 
 
+def brute_is_automorphism(images, blocks) -> bool:
+    """True iff the point map x -> images[x] carries every block, given as
+    a list of points, onto a block of the list."""
+    block_set = {frozenset(b) for b in blocks}
+    return all(frozenset(images[x] for x in b) in block_set for b in blocks)
+
+
 def brute_flag_transitive(G, D) -> bool:
     """True iff G acts transitively on the flags of D, raising ValueError
     as is_flag_transitive does, with the same messages in the same order.

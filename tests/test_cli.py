@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import symdesign
 from symdesign import elimination
 from symdesign.algebra import factorize
 from symdesign.cli import build_parser, main
-from symdesign.design import read_design_file
+from symdesign.design import MAX_MASK_BITS, read_design_file
 from symdesign.perm import MAX_DEGREE, read_group_file
 
 
@@ -480,6 +481,25 @@ def test_verify_huge_v_header_is_not_a_table_size(capsys, tmp_path):
     assert time.perf_counter() - start < 0.5
 
 
+def test_verify_point_past_the_mask_budget_exits_before_allocating(capsys, tmp_path):
+    # a point whose bit alone would pass MAX_MASK_BITS is refused before the
+    # bit is made
+    d_file = tmp_path / "huger.design"
+    d_file.write_text("v 100000000000\n1,2,100000000000\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", str(d_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {d_file}: line 2: the blocks so far need more than {MAX_MASK_BITS} bits"
+        " as masks\n"
+    )
+    assert peak < 2**20
+
+
 def test_verify_block_with_repeated_point(capsys, tmp_path):
     d_file = tmp_path / "d.design"
     run(capsys, "construct", "fano_complement", "-o", str(d_file))
@@ -639,6 +659,16 @@ def test_families(capsys):
     assert code == 0
     assert "(45,12,3,9,5,3)" in out
     assert "(45,12,3,5,9,2)" in out
+
+
+@pytest.mark.parametrize("lam, count", [("2", 1), ("3", 2), ("5", 2), ("7", 3)])
+def test_families_prints_each_family_once(capsys, lam, count):
+    # at lambda = 2 and 3 two rules give the same family
+    code, out, err = run(capsys, "families", "--lambda", lam)
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", count)
+    assert len(set(lines)) == count
+    assert lines[0].startswith(f"(v,k,lambda,c,d,l) = ({int(lam) ** 2 * (int(lam) + 2)},")
 
 
 def test_families_composite_lambda(capsys):

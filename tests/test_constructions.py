@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
@@ -148,6 +149,20 @@ def test_projective_space_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_projective_space_12_2_peak_memory():
+    # one mask per block: 4095 ints of 4095 bits, where a frozenset per
+    # block took over 500 MiB; the design is built, not verified
+    tracemalloc.start()
+    try:
+        D = projective_space(12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(D.masks) == D.v == 4095
+    assert {m.bit_count() for m in D.masks} == {2047}
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("n,q", [(6, 2), (3, 9)])

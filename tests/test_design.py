@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from oracles import (
     brute_first_bad_pair,
     brute_flag_transitive,
+    brute_is_automorphism,
     brute_verify_symmetric,
+    compose,
     conjugate,
     flag_transitive_two_step,
     group_from_text,
     pgl2_generators,
 )
+from symdesign import design
 from symdesign.constructions import catalog, load_group, projective_space
 from symdesign.design import (
     DesignError,
@@ -314,6 +317,152 @@ def test_flag_transitive_matches_brute_on_relabelled_pg(n):
         assert is_flag_transitive(G, D) is brute_flag_transitive(G, D) is expected
 
 
+def _relabelled_pg(n, rng):
+    """PGL(n,2) generators and the hyperplanes of PG(n-1,2) as point lists,
+    with the points relabelled and the blocks shuffled."""
+    v = 2**n - 1
+    sigma = Permutation(rng.sample(range(v), v))
+    gens = [conjugate(g, sigma) for g in pgl2_generators(n)]
+    # point x - 1 is the vector with bitmask x, and x lies on a-perp when
+    # a & x has an even number of ones
+    blocks = [
+        sorted(sigma.images[x - 1] for x in range(1, v + 1) if (a & x).bit_count() % 2 == 0)
+        for a in range(1, v + 1)
+    ]
+    rng.shuffle(blocks)
+    return gens, blocks
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_mask_images_match_brute_on_relabelled_pg(n):
+    """is_automorphism, is_flag_transitive and orbit_design move blocks by
+    permuting point rows and transposing back; the oracles move point sets."""
+    rng = random.Random(100 + n)
+    gens, blocks = _relabelled_pg(n, rng)
+    v = len(blocks)
+    D = IncidenceStructure(v, blocks)
+    swap = list(range(v))
+    i, j = rng.sample(range(v), 2)
+    swap[i], swap[j] = j, i
+    transposition = Permutation(swap)
+    others = [transposition, Permutation(rng.sample(range(v), v)), compose(*gens)]
+    for g in gens + others:
+        assert D.is_automorphism(g) is brute_is_automorphism(g.images, blocks)
+    assert not brute_is_automorphism(transposition.images, blocks)
+    for group, expected in (
+        (gens, True),
+        (gens[1:], False),
+        (gens + [transposition], f"ValueError: generator {transposition.cycle_string()}"),
+        ([transposition] + gens, f"ValueError: generator {transposition.cycle_string()}"),
+    ):
+        G = PermutationGroup(group, v)
+        outcome = _flag_outcome(is_flag_transitive, G, D)
+        assert outcome == _flag_outcome(brute_flag_transitive, G, D)
+        if isinstance(expected, bool):
+            assert outcome is expected
+        else:
+            assert outcome == expected + " is not an automorphism"
+    E = orbit_design(PermutationGroup(gens, v), blocks[0])
+    assert E == D and E.blocks[0] == frozenset(blocks[0])
+
+
+@pytest.mark.parametrize(
+    "v, masks, message",
+    [
+        (3, [0b011, 0], "empty block"),
+        (3, [0, 0b1000], "empty block"),
+        (3, [0b1000, 0], "block point out of range"),
+        (3, [0b011, -1], "block point out of range"),
+        (0, [], "v must be positive"),
+        (0, [0b1000], "v must be positive"),
+    ],
+)
+def test_from_masks_rejects_bad_blocks(v, masks, message):
+    # the first bad block by position is named, as for blocks given as points
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IncidenceStructure.from_masks(v, masks)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [([(0, 1), ()], "empty block"), ([(0, 1), (-1,)], "block point out of range")],
+)
+def test_point_blocks_rejected_like_masks(blocks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IncidenceStructure(3, blocks)
+
+
+def test_masks_and_point_views():
+    D = IncidenceStructure(7, [(3, 1, 0, 1), (6, 5, 4), (0,)])
+    assert D.masks == [0b1011, 0b1110000, 0b1]
+    assert D == IncidenceStructure.from_masks(7, [0b1, 0b1011, 0b1110000])
+    assert D.blocks == [frozenset({0, 1, 3}), frozenset({4, 5, 6}), frozenset({0})]
+    assert D.blocks_sorted() == [(0,), (0, 1, 3), (4, 5, 6)]
+    # a sparse block on a huge v and a dense one give the same points either way
+    big = 10**6
+    assert IncidenceStructure.from_masks(big, [1 << (big - 1) | 1 << 4]).blocks == [
+        frozenset({4, big - 1})
+    ]
+    dense = list(range(0, 200, 3))
+    assert IncidenceStructure(200, [dense]).blocks_sorted() == [tuple(dense)]
+
+
+def test_no_blocks_is_automorphism_of_everything():
+    D = IncidenceStructure(3, [])
+    assert D.is_automorphism(Permutation([1, 2, 0]))
+    with pytest.raises(ValueError, match="^no blocks$"):
+        is_flag_transitive(PermutationGroup([Permutation([1, 2, 0])], 3), D)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda G: IncidenceStructure(7, [[0, 2**40]]), "block point out of range"),
+        (lambda G: IncidenceStructure(7, [[0, -(2**40)]]), "block point out of range"),
+        (lambda G: IncidenceStructure(7, [[], [0, 2**40]]), "empty block"),
+        (lambda G: orbit_design(G, [2**40]), "base block point out of range"),
+    ],
+    ids=["constructor", "negative", "empty-first", "orbit_design"],
+)
+def test_far_points_rejected_before_any_bit(build, message):
+    # a point far past v is refused by its value: its bit alone would take
+    # 2**40 bits
+    G = PermutationGroup([Permutation([1, 2, 0, 3, 4, 5, 6])], 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("digits", [1, 40, 500])
+def test_checks_agree_when_the_transpose_runs_in_pieces(monkeypatch, digits):
+    # the transpose formats about _TRANSPOSE_DIGITS digits at a time; runs of
+    # one mask or a few give the same rows, verdicts, first bad pair and
+    # block images as one run
+    rng = random.Random(digits)
+    gens, blocks = _relabelled_pg(5, rng)
+    v = len(blocks)
+    rows = [sum(1 << j for j, b in enumerate(blocks) if x in b) for x in range(v)]
+    monkeypatch.setattr(design, "_TRANSPOSE_DIGITS", digits)
+    D = IncidenceStructure(v, blocks)
+    assert design._transpose(D.masks, v) == rows
+    assert D.verify_symmetric() == DesignParams(31, 15, 7)
+    assert is_flag_transitive(PermutationGroup(gens, v), D)
+    assert all(D.is_automorphism(g) for g in gens)
+    assert not D.is_automorphism(Permutation([1, 0] + list(range(2, v))))
+    bad = [list(b) for b in blocks]
+    bad[0][0] = next(x for x in range(v) if x not in bad[0])
+    x, y, count = brute_first_bad_pair(v, bad, 7)
+    with pytest.raises(
+        DesignError, match=f"^point pair {x + 1},{y + 1} lies on {count} blocks, expected 7$"
+    ):
+        IncidenceStructure(v, bad).verify_symmetric()
+
+
 def test_flag_orbit_size_equals_vk():
     inst = catalog("unitary_45_12_3")
     # for a flag-transitive symmetric design the flag count is v * k
@@ -431,6 +580,46 @@ def test_design_file_sparse_points_on_large_v(tmp_path):
     assert path.read_text() == "v 1000000\n1\n5,1000000\n"
     assert E == D
     assert peak < 10**6
+
+
+@pytest.mark.parametrize(
+    "budget, body, line",
+    [(30, "10\n10\n", None), (30, "10\n10\n1\n", 4), (25, "10\n10\n", 3), (19, "10\n", 2)],
+)
+def test_design_file_mask_budget(monkeypatch, tmp_path, budget, body, line):
+    # the point memo and the masks share MAX_MASK_BITS: point 10 takes 10
+    # bits in the memo and 10 in each mask through it, and a line is refused
+    # once the room left could not hold a mask as wide as the widest bit
+    monkeypatch.setattr(design, "MAX_MASK_BITS", budget)
+    path = tmp_path / "budget.design"
+    path.write_text("v 10\n" + body)
+    if line is None:
+        assert read_design_file(path).masks == [1 << 9, 1 << 9]
+        return
+    message = f"{path}: line {line}: the blocks so far need more than {budget} bits as masks"
+    with pytest.raises(ValueError) as exc:
+        read_design_file(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spread", [1, 1000], ids=["dense", "sparse"])
+def test_design_file_orders_blocks_of_mixed_sizes(tmp_path, spread):
+    # blocks are written in the order of their sorted point tuples, a
+    # block that starts another one first, whether the points in use are
+    # dense or spread out over a large v
+    rng = random.Random(spread)
+    path = tmp_path / "mixed.design"
+    for _ in range(50):
+        n = rng.randrange(1, 30)
+        blocks = [
+            [spread * x for x in rng.sample(range(n), rng.randrange(1, n + 1))]
+            for _ in range(rng.randrange(1, 10))
+        ]
+        blocks += [sorted(b)[: rng.randrange(1, len(b) + 1)] for b in blocks[:3]]
+        v = spread * n
+        write_design_file(path, IncidenceStructure(v, blocks))
+        lines = [",".join(str(x + 1) for x in b) for b in sorted(tuple(sorted(b)) for b in blocks)]
+        assert path.read_text() == "\n".join([f"v {v}", *lines, ""])
 
 
 def test_design_file_bad_header(tmp_path):
