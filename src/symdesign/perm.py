@@ -8,11 +8,13 @@ one base point for each level with a nontrivial transversal.  Point
 stabilizers and subdegrees come from Schreier generators, with no chain.
 
 The chain and the Schreier generators multiply and invert permutations
-through the kernels `_kernels(degree)` picks from the degree alone: up to
-degree 256 a permutation is a 256-byte string that fixes every point from
-degree on, composed by `bytes.translate` and inverted by `bytes.maketrans`,
-each one C call; above 256 it is an image tuple, composed by `_then`.
-`Permutation.images` is always a tuple; `Permutation` has no product.
+through the kernels `_kernels(degree)` picks from the degree alone.  Up to
+degree 256 a permutation is a degree-length byte string, composed by
+`bytes.translate` and inverted by `bytes.maketrans`, each one C call;
+`translate` needs its outer operand as a 256-byte table, so only the
+values used that way (generators, inverses) are padded to one.  Above 256
+every form is an image tuple, composed by `_then`.  `Permutation.images`
+is always a tuple; `Permutation` has no product.
 """
 
 from __future__ import annotations
@@ -89,10 +91,6 @@ class Permutation:
             out.append("(" + ",".join(str(p + 1) for p in cycle) + ")")
         return "".join(out) or "()"
 
-    def image(self, points) -> frozenset[int]:
-        """The image of a set of points."""
-        return frozenset(map(self.images.__getitem__, points))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -121,21 +119,25 @@ _BYTE_IDENTITY = bytes(range(256))
 
 
 def _kernels(degree: int) -> tuple:
-    """(encode, decode, then, invert, identity) for permutations of
-    degree: encode takes an image sequence to the representation, decode
-    gives back the image tuple, and then and invert act as _then and
-    _invert.  The representation is a 256-byte string fixing every point
-    from degree on if degree <= 256, else the image tuple; then(inner,
-    outer) is then `bytes.translate` itself."""
+    """(encode, table, then, invert, identity) for permutations of degree,
+    where then(inner, outer) acts as _then and invert as _invert.
+
+    Up to degree 256, encode takes an image sequence to degree-length
+    bytes, the form of every inner operand, and table pads such bytes to
+    the 256-byte table, fixing every point from degree on, that
+    `bytes.translate` (then itself) takes as its outer operand; invert
+    takes degree-length bytes to a table, and identity is degree-length.
+    Above 256 every form is the image tuple, and table returns it as it
+    is."""
     if degree > 256:
         return tuple, tuple, _then, _invert, tuple(range(degree))
-    tail = _BYTE_IDENTITY[degree:]
+    identity, tail = _BYTE_IDENTITY[:degree], _BYTE_IDENTITY[degree:]
     return (
-        lambda images: bytes(images) + tail,
-        lambda p: tuple(p[:degree]),
+        bytes,
+        lambda p: p + tail,
         bytes.translate,
-        lambda p: bytes.maketrans(p, _BYTE_IDENTITY),
-        _BYTE_IDENTITY,
+        lambda p: bytes.maketrans(p, identity),
+        identity,
     )
 
 
@@ -149,14 +151,14 @@ class _StabilizerChain:
     the inverse of a representative carrying base[i] to x.  A level opens
     only for a generator that fixes every base point so far, at the least
     point it moves, so every transversal has at least two entries and the
-    base depends on the order of the generators.  Generators,
-    representatives and sift residues are in the representation of
-    `_kernels(degree)`: 256-byte strings up to degree 256, image tuples
-    above; `encode` and `decode` convert image tuples to and from it.
+    base depends on the order of the generators.  Everything is in the
+    forms of `_kernels(degree)`: up to degree 256, representatives,
+    products and sift residues are degree-length bytes, and generators and
+    stored inverses are 256-byte tables; above 256 all are image tuples.
     """
 
     def __init__(self, generators, degree):
-        self.encode, self.decode, self.then, self.invert, self.identity = _kernels(degree)
+        self.encode, self.table, self.then, self.invert, self.identity = _kernels(degree)
         self.base: list[int] = []
         self.gens: list[list[bytes | tuple]] = []
         self.transversals: list[dict] = []
@@ -174,7 +176,7 @@ class _StabilizerChain:
         generator meets each representative once, when the later of the two
         appears, and nothing restarts.
         """
-        then, invert, identity = self.then, self.invert, self.identity
+        table, then, invert, identity = self.table, self.then, self.invert, self.identity
         reps = []  # forward representatives, per level
         work = [(0, g, True) for g in reversed(generators)]
         while work:
@@ -185,8 +187,9 @@ class _StabilizerChain:
                         b = next(x for x, y in enumerate(p) if x != y)
                         self.base.append(b)
                         self.gens.append([])
-                        self.transversals.append({b: identity})
+                        self.transversals.append({b: table(identity)})
                         reps.append({b: identity})
+                    p = table(p)
                     self.gens[level].append(p)
                     work.extend((level, then(u, p), False) for u in reps[level].values())
                 continue
@@ -201,8 +204,9 @@ class _StabilizerChain:
                 work.append((level + 1, then(p, inv), True))
 
     def strip(self, p):
-        """Sift an encoded permutation through the levels; the residue is
-        the identity iff it is in the group."""
+        """Sift an encoded permutation, in the inner form of the kernels,
+        through the levels; the residue is the identity iff it is in the
+        group."""
         then = self.then
         for b, tr in zip(self.base, self.transversals):
             img = p[b]
@@ -275,9 +279,18 @@ class PermutationGroup:
                 raise ValueError("point out of range")
 
     def orbit(self, point: int) -> frozenset[int]:
+        """The orbit of point, found breadth first over the generators."""
         self._check_points((point,))
         images = [g.images for g in self.generators]
-        return frozenset(orbit_of(point, images, tuple.__getitem__))
+        seen = {point}
+        queue = [point]
+        for x in queue:
+            for im in images:
+                y = im[x]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return frozenset(seen)
 
     def orbits(self) -> list[frozenset[int]]:
         """The orbits, in the order of their least points."""
@@ -306,10 +319,7 @@ class PermutationGroup:
         """The stabilizer of point, generated by its Schreier generators
         (Schreier's lemma); no stabilizer chain is built."""
         self._check_points((point,))
-        _, decode, *_ = _kernels(self.degree)
-        return PermutationGroup(
-            (Permutation(decode(h)) for h in self._schreier_generators(point)), self.degree
-        )
+        return PermutationGroup(map(Permutation, self._schreier_generators(point)), self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
         """Sorted orbit lengths of the stabilizer of point (G transitive)."""
@@ -324,35 +334,36 @@ class PermutationGroup:
 
         The Schreier generators of G_point generate it, so the classes of a
         union-find over them are its orbits; no stabilizer chain is built.
-        `roots` maps each point to its class minimum, so then(h, roots)
-        maps x to the minimum of h(x)'s class.  A generator with
-        then(h, roots) == roots merges nothing and is skipped; otherwise the
-        union-find, over class minima only, joins the two minima wherever
-        they differ, and one translate table re-maps the merged minima.
-        Every generator fixes point, so once the classes are {point} and
-        the rest, no later one can change them.
+        `roots`, a table, maps each point to its class minimum, so
+        then(h, roots) maps x to the minimum of h(x)'s class.  A generator
+        that maps every point into its own class merges nothing and is
+        skipped; otherwise the union-find, over class minima only, joins the
+        two minima wherever they differ, and one translate table re-maps the
+        merged minima.  Every generator fixes point, so once the classes are
+        {point} and the rest, no later one can change them.
         """
-        encode, decode, then, _, roots = _kernels(self.degree)
+        encode, table, then, _, identity = _kernels(self.degree)
+        roots = table(identity)
         parent = list(range(self.degree))
         classes = self.degree
         for h in self._schreier_generators(point):
             moved = then(h, roots)
-            if moved == roots:
+            if moved == roots[: self.degree]:
                 continue
-            pairs = {(r, s) for r, s in zip(roots[: self.degree], moved) if r != s}
+            pairs = {(r, s) for r, s in zip(roots, moved) if r != s}
             for r, s in pairs:
                 if _union(parent, r, s):
                     classes -= 1
             # h is a bijection, so a class that takes in a point from another
             # class (an s) also sends one out (is an r): re-mapping the r's
             # re-maps every merged minimum
-            table = list(range(self.degree))
+            remap = list(range(self.degree))
             for r, _ in pairs:
-                table[r] = _find(parent, r)
-            roots = then(roots, encode(table))
+                remap[r] = _find(parent, r)
+            roots = then(roots, table(encode(remap)))
             if classes == 2:
                 break
-        return decode(roots)
+        return tuple(roots[: self.degree])
 
     def _congruence(self, points) -> list[int]:
         """The finest G-invariant partition that has `points` in one class,
@@ -410,20 +421,21 @@ class PermutationGroup:
 
     def _schreier_generators(self, point: int):
         """The nontrivial Schreier generators of the stabilizer of `point`,
-        encoded as `_kernels(degree)` encodes, made one at a time (Seress,
-        *Permutation Group Algorithms*, 2003, 4.1).
+        encoded as `_kernels(degree)` encodes (degree-length bytes up to
+        degree 256), made one at a time (Seress, *Permutation Group
+        Algorithms*, 2003, 4.1).
 
         A breadth-first search over the generators gives u[x], carrying
-        point to x, and its inverse t[x] for every x in the orbit.  Each
-        generator s and orbit point x give t[s(x)] s u[x], which fixes
-        point.  The deepest points come first: their representatives are
-        the longest words.
+        point to x, and its inverse t[x], a table, for every x in the
+        orbit.  Each generator s and orbit point x give t[s(x)] s u[x],
+        which fixes point.  The deepest points come first: their
+        representatives are the longest words.
         """
-        encode, _, then, invert, identity = _kernels(self.degree)
-        gens = [encode(g.images) for g in self.generators]
-        pairs = [(s, invert(s)) for s in gens]  # each inverse built once
+        encode, table, then, invert, identity = _kernels(self.degree)
+        # each generator as a table, with its inverse, built once
+        pairs = [(table(s), invert(s)) for s in (encode(g.images) for g in self.generators)]
         u = {point: identity}
-        t = {point: identity}
+        t = {point: table(identity)}
         queue = [point]
         for x in queue:
             for s, s_inv in pairs:
@@ -433,7 +445,7 @@ class PermutationGroup:
                     t[y] = then(s_inv, t[x])
                     queue.append(y)
         for x in reversed(queue):
-            for s in gens:
+            for s, _ in pairs:
                 h = then(then(u[x], s), t[s[x]])
                 if h != identity:
                     yield h
@@ -475,24 +487,6 @@ def _union(parent: list[int], x: int, y: int) -> tuple[int, int] | None:
         rx, ry = ry, rx
     parent[ry] = rx
     return rx, ry
-
-
-def orbit_of(seed, generators, act) -> set:
-    """The orbit of seed under the group the generators generate, where
-    act(g, x) is the image of x under g.
-
-    A FIFO closure; the returned set has its members inserted in
-    breadth-first order.
-    """
-    seen = {seed}
-    queue = [seed]
-    for x in queue:
-        for g in generators:
-            y = act(g, x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
 
 
 @contextmanager

@@ -22,7 +22,8 @@ check those against the chain and not against themselves.
 group_from_text, pgl2_generators and relabelled are no oracles: they build
 test groups, the first through the library's group-file parser.  compose
 and conjugate multiply permutations for tests, through the checking
-constructor, since the library composes only inside its kernels.
+constructor, since the library composes only inside its kernels, and
+image maps a set of points through a permutation.
 brent_rho_reference is no independent oracle either: it is the Brent rho
 loop with one product per step, kept to pin that the library's batched loop
 returns the same factor.
@@ -76,6 +77,11 @@ def conjugate(g, t):
     for x, y in enumerate(g.images):
         images[t.images[x]] = t.images[y]
     return Permutation(images)
+
+
+def image(g, points) -> frozenset[int]:
+    """The image of a set of points under the permutation g."""
+    return frozenset(g.images[x] for x in points)
 
 
 def relabelled(gens, rng):
@@ -360,8 +366,8 @@ def chain_stabilizer(G, point):
     the transposition t of 0 and point, put a generator that moves 0 first,
     so that 0 becomes the chain's first base point, take the generators of
     the chain's level 1 (the stabilizer of 0; none when the chain has no
-    level 1), decoded to image tuples by the chain, and conjugate them back
-    by t.  When no generator moves 0, the stabilizer is G itself."""
+    level 1), cut from the chain's tables to image tuples, and conjugate
+    them back by t.  When no generator moves 0, the stabilizer is G itself."""
     swap = list(range(G.degree))
     swap[0], swap[point] = point, 0
     t = Permutation(swap)
@@ -371,7 +377,7 @@ def chain_stabilizer(G, point):
     chain = PermutationGroup(moved, G.degree)._chain()
     assert chain.base[0] == 0
     level1 = chain.gens[1] if len(chain.gens) > 1 else []
-    stabilizer = [conjugate(Permutation(chain.decode(h)), t) for h in level1]
+    stabilizer = [conjugate(Permutation(h[: G.degree]), t) for h in level1]
     return PermutationGroup(stabilizer, G.degree)
 
 

@@ -15,6 +15,7 @@ from oracles import (
     conjugate,
     flag_transitive_two_step,
     group_from_text,
+    image,
     pgl2_generators,
 )
 from symdesign import design
@@ -276,8 +277,8 @@ def flag_cases(draw):
         queue = [base]
         for blk in queue:
             for g in gens:
-                if (image := g.image(blk)) not in queue:
-                    queue.append(image)
+                if (moved := image(g, blk)) not in queue:
+                    queue.append(moved)
         blocks += [blk for blk in queue if blk not in blocks]
     if blocks and draw(st.booleans()):
         blocks.append(draw(st.sampled_from(blocks)))
@@ -309,7 +310,7 @@ def test_flag_transitive_matches_brute_on_relabelled_pg(n):
     hyperplanes = [
         [x - 1 for x in range(1, v + 1) if (a & x).bit_count() % 2 == 0] for a in range(1, v + 1)
     ]
-    blocks = [sigma.image(b) for b in hyperplanes]
+    blocks = [image(sigma, b) for b in hyperplanes]
     rng.shuffle(blocks)
     D = IncidenceStructure(v, blocks)
     for group, expected in ((gens, True), (gens[1:], False)):

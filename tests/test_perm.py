@@ -19,6 +19,7 @@ from oracles import (
     compose,
     conjugate,
     group_from_text,
+    image,
     pgl2_generators,
     relabelled,
     scan_is_primitive,
@@ -30,7 +31,6 @@ from symdesign.perm import (
     PermutationGroup,
     _kernels,
     _StabilizerChain,
-    orbit_of,
     parse_group_text,
     read_group_file,
     write_group_file,
@@ -226,15 +226,25 @@ def check_chain(chain):
     """The chain's invariants: distinct base points, one generator list and
     one transversal of at least 2 entries per level, gens[i] fixing
     base[:i], the keys of transversals[i] the orbit of base[i] under
-    gens[i], and each stored inverse carrying its point back to base[i]."""
-    base, decode = chain.base, chain.decode
+    gens[i], and each stored inverse carrying its point back to base[i].
+    Generators and inverses are in the table form of the chain's kernels,
+    and each representative, the inverse of a stored inverse, encodes to
+    degree-length bytes (tuples above degree 256) whose inverse is exactly
+    the stored one."""
+    base, identity = chain.base, chain.identity
+    degree = len(identity)
     assert len(set(base)) == len(base) == len(chain.gens) == len(chain.transversals)
     for i, (b, gens, tr) in enumerate(zip(base, chain.gens, chain.transversals)):
         assert len(tr) >= 2
-        images = [decode(g) for g in gens]
+        assert all(g == chain.table(g[:degree]) for g in [*gens, *tr.values()])
+        images = [g[:degree] for g in gens]
         assert all(g[c] == c for g in images for c in base[:i])
-        assert tr.keys() == orbit_of(b, images, tuple.__getitem__)
-        assert all(decode(inv)[x] == b for x, inv in tr.items())
+        level = PermutationGroup([Permutation(g) for g in images], degree)
+        assert tr.keys() == level.orbit(b)
+        for x, inv in tr.items():
+            assert inv[x] == b
+            rep = chain.encode(sorted(range(degree), key=inv.__getitem__))
+            assert len(rep) == degree and rep[b] == x and chain.invert(rep) == inv
 
 
 def check_chain_against_brute(G):
@@ -313,6 +323,23 @@ def test_one_chain_per_group():
     assert G.contains(G.generators[0]) and G._stabilizer_chain is chain
 
 
+@pytest.mark.parametrize(
+    "name, base, sizes",
+    [
+        ("sigma45", [0, 5, 1], [45, 8, 9]),
+        ("psu4_2", [1, 0, 9, 3], [45, 32, 6, 3]),
+        ("psl2_7", [3, 0, 1], [7, 6, 4]),
+        ("psl2_11", [2, 1, 0], [11, 10, 6]),
+    ],
+)
+def test_vendored_chain_bases(name, base, sizes):
+    # the base follows the generator order and the worklist's order, so a
+    # change to either shows here before it shows in a product
+    chain = load_group(f"{name}.grp")._chain()
+    assert chain.base == base
+    assert [len(tr) for tr in chain.transversals] == sizes
+
+
 def test_deep_chain_symmetric_30():
     # a 30-level chain: every base point has a full orbit
     G = group_from_text("(" + ",".join(map(str, range(1, 31))) + ")\n(1,2)", 30)
@@ -350,7 +377,8 @@ def check_strip_depth(G, members, non_members):
     for g, member in [(g, True) for g in members] + [(g, False) for g in non_members]:
         residue = chain.strip(chain.encode(g.images))
         assert residue == chain.encode(full_walk_strip(chain, g).images)
-        assert (chain.decode(residue) == tuple(range(G.degree))) == member
+        assert len(residue) == G.degree
+        assert (residue == chain.identity) == member
 
 
 def test_strip_depth_cut_small_groups():
@@ -475,18 +503,29 @@ def boundary_groups(degree):
 @pytest.mark.parametrize("degree", [1, 2, 31, *KERNEL_BOUNDARY])
 def test_kernels_match_image_tuples(degree):
     rng = random.Random(degree)
-    encode, decode, then, invert, identity = _kernels(degree)
-    assert type(identity) is (bytes if degree <= 256 else tuple)
+    encode, table, then, invert, identity = _kernels(degree)
+    short = degree <= 256
+    form = bytes if short else tuple
+    assert type(identity) is form and tuple(identity) == tuple(range(degree))
     # up to degree 256 composing is one C call, with no Python frame
-    assert (then is bytes.translate) == (degree <= 256)
-    assert decode(identity) == tuple(range(degree))
+    assert (then is bytes.translate) == short
     for _ in range(20):
         a = tuple(rng.sample(range(degree), degree))
         b = tuple(rng.sample(range(degree), degree))
+        a_inv = tuple(sorted(range(degree), key=a.__getitem__))
         ea, eb = encode(a), encode(b)
-        assert decode(ea) == a and ea[degree:] == identity[degree:]
-        assert decode(then(eb, ea)) == tuple(a[x] for x in b)
-        assert then(invert(ea), ea) == identity == then(ea, invert(ea))
+        assert type(ea) is form and tuple(ea) == a
+        ta = table(ea)
+        if short:
+            # the table fixes every point from degree on
+            assert ta == ea + bytes(range(degree, 256))
+        else:
+            assert ta is ea
+        # invert returns a table
+        assert invert(ea) == table(encode(a_inv))
+        ab = then(eb, ta)
+        assert type(ab) is form and tuple(ab) == tuple(a[x] for x in b)
+        assert then(ea, invert(ea)) == identity == then(encode(a_inv), ta)
 
 
 @pytest.mark.parametrize("degree", KERNEL_BOUNDARY)
@@ -526,7 +565,7 @@ def test_stabilizers_at_kernel_boundary(degree):
             assert system.class_size == smallest
             assert system.classes()[0] in blocks
             for g in G.generators:
-                assert {g.image(cls) for cls in system.classes()} == set(system.classes())
+                assert {image(g, cls) for cls in system.classes()} == set(system.classes())
 
 
 def is_even(g):
