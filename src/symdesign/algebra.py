@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -161,19 +161,20 @@ def is_prime(n: int) -> bool:
     return is_prime_certain(n)[0]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization: value == prod(p**e)."""
+class Factorization(namedtuple("Factorization", "value factors")):
+    """Complete prime factorization: value == prod(p**e), factors a tuple of
+    (p, e) pairs."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         prod = 1
         for p, e in self.factors:
             prod *= p**e
         if prod != self.value:
             raise ValueError("factor list does not reconstruct the value")
+        return self
 
 
 def _pollard_rho(n: int) -> int:
@@ -263,20 +264,20 @@ def divisors(f: Factorization):
     yield from divs
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(namedtuple("PrimePower", "p a q")):
     """q = p**a with p verified prime."""
 
-    p: int
-    a: int
-    q: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
+    def __new__(cls, p: int, a: int) -> "PrimePower":
+        if a < 1:
             raise ValueError("exponent must be positive")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        object.__setattr__(self, "q", self.p**self.a)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p, a, p**a)
+
+    def __getnewargs__(self):
+        return self.p, self.a  # q is computed, so pickle and copy pass two
 
     @classmethod
     def of(cls, q: int) -> "PrimePower":

@@ -11,8 +11,7 @@ from the generators.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -177,10 +176,8 @@ _AMBIENTS = {
 }
 
 
-@dataclass(frozen=True)
-class DifferenceSetSpec:
-    ambient: AmbientGroup
-    base_set: tuple
+class DifferenceSetSpec(namedtuple("DifferenceSetSpec", "ambient base_set")):
+    __slots__ = ()  # an AmbientGroup and a tuple of its elements
 
     def lam(self) -> int:
         """Lambda of the development's design check, which raises DesignError
@@ -262,17 +259,17 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
 # --- vendored catalog -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedInstance:
-    name: str
-    design: IncidenceStructure
-    group: PermutationGroup | None
-    expected_params: tuple[int, int, int]
-    flag_transitive: bool | None
-    point_primitive: bool | None
+# expected_params is (v, k, lambda); group and the two flags are None for a
+# design shipped without a group
+NamedInstance = namedtuple(
+    "NamedInstance",
+    "name design group expected_params flag_transitive point_primitive",
+)
 
 
 def _data_text(filename: str) -> str:
+    from importlib import resources  # imported on first read: it is slow to load
+
     return resources.files("symdesign.data").joinpath(filename).read_text(encoding="utf-8")
 
 

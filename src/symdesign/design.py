@@ -17,7 +17,7 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations, compress, repeat
 from operator import itemgetter, or_
@@ -40,15 +40,14 @@ class DesignError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    v: int
-    k: int
-    lam: int
+class DesignParams(namedtuple("DesignParams", "v k lam")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k * (self.k - 1) != self.lam * (self.v - 1):
             raise ValueError("k(k-1) != lambda(v-1)")
+        return self
 
     @property
     def nontrivial(self) -> bool:

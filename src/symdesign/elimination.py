@@ -8,23 +8,21 @@ divisibility/primality constraints on (v, k, lambda), and a catalog of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .algebra import Factorization, PrimePower, divisors, factorize, is_prime
 
 FAMILIES = ("PSL", "PSU", "PSp", "OmegaOdd", "POmegaPlus", "POmegaMinus")
 
 
-@dataclass(frozen=True)
-class GroupFamilySpec:
-    """A classical simple group X: family, ambient dimension n, and q."""
+class GroupFamilySpec(namedtuple("GroupFamilySpec", "family n q")):
+    """A classical simple group X: family, ambient dimension n, and q, a
+    PrimePower."""
 
-    family: str
-    n: int
-    q: PrimePower
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         f, n, q = self.family, self.n, self.q.q
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}")
@@ -38,6 +36,7 @@ class GroupFamilySpec:
             raise ValueError("Omega_n(q) needs odd n >= 7 and odd q")
         if f in ("POmegaPlus", "POmegaMinus") and (n < 8 or n % 2):
             raise ValueError("POmega needs even n >= 8")
+        return self
 
 
 def _prod(q: int, lo: int, hi: int, sign_alt: bool = False) -> int:
@@ -95,10 +94,7 @@ def out_order_bound(spec: GroupFamilySpec) -> int:
     return out_order(spec)
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    k: int
-    lam: int
+AdmissiblePair = namedtuple("AdmissiblePair", "k lam")
 
 
 def admissible(v, k_bound, required_lambda=None):
@@ -164,19 +160,14 @@ def corollary_families(lam: int):
 # --- the elimination catalog -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogRow:
-    id: str
-    x: str
-    h0: str
-    v: int
-    k_bound: int
-    required_lambda: int | None
-    table: str
+class CatalogRow(namedtuple("CatalogRow", "id x h0 v k_bound required_lambda table")):
+    __slots__ = ()  # v and k_bound are ints, required_lambda an int or None
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.v % 2 == 0 or self.v < 3 or self.k_bound < 1:
             raise ValueError(f"bad catalog row {self.id}")
+        return self
 
 
 # rows where the expected scan outcome is a specific nonempty pair list
@@ -192,6 +183,8 @@ EXTERNALLY_EXCLUDED = {"inline-891"}
 
 
 def load_catalog() -> list[CatalogRow]:
+    from importlib import resources  # imported on first read: it is slow to load
+
     text = resources.files("symdesign.data").joinpath("catalog.txt").read_text(encoding="utf-8")
     rows = []
     for line in text.splitlines():
@@ -211,12 +204,8 @@ def load_catalog() -> list[CatalogRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class RowReport:
-    row: CatalogRow
-    pairs: tuple[AdmissiblePair, ...]
-    status: str  # PASS / FAIL / INCONCLUSIVE
-    note: str = ""
+# status is PASS, FAIL or INCONCLUSIVE; pairs a tuple of AdmissiblePair
+RowReport = namedtuple("RowReport", "row pairs status note", defaults=("",))
 
 
 def run_row(row: CatalogRow) -> RowReport:

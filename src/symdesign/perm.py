@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 
@@ -218,12 +217,11 @@ class _StabilizerChain:
         return p
 
 
-@dataclass(frozen=True)
-class BlockSystem:
-    """A G-invariant partition into d classes of equal size c."""
+class BlockSystem(namedtuple("BlockSystem", "degree class_of")):
+    """A G-invariant partition into d classes of equal size c; class_of[x] is
+    the class of point x."""
 
-    degree: int
-    class_of: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def num_classes(self) -> int:

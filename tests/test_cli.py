@@ -730,3 +730,21 @@ def test_library_imports_only_the_stdlib():
             for name in names:
                 root = name.split(".")[0]
                 assert root in sys.stdlib_module_names, (path.name, node.lineno, name)
+
+
+def test_importing_the_library_loads_no_dataclasses_or_resources():
+    # package data is read through importlib.resources only when asked for.
+    # -S keeps site from loading either module first (a .pth file may), and
+    # taking sys.modules before and after discounts what start-up loads anyway
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import symdesign.algebra, symdesign.perm, symdesign.design\n"
+        "import symdesign.constructions, symdesign.elimination, symdesign.cli\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(m for m in new\n"
+        "             if m == 'dataclasses' or m.startswith('importlib.resources')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", child],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
