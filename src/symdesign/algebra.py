@@ -313,8 +313,8 @@ class FieldTable:
     of the polynomial residue, low degree first.  The reducing modulus is
     the lexicographically smallest monic irreducible of degree a over GF(p)
     (coefficients compared low-degree-first), so tables are reproducible.
-    ``add[x][y]`` is x + y, ``mul[x][y]`` is x * y, ``neg[x]`` is -x and
-    ``inv[x]`` is 1/x for x != 0 (``inv[0]`` is None).
+    ``add[x][y]`` is x + y, ``mul[x][y]`` is x * y and ``inv[x]`` is 1/x
+    for x != 0 (``inv[0]`` is None).
 
     ``mul`` is built from ``add`` alone, row by row.  Row x < p is the
     scalar multiple, y added to itself x times.  Row x >= p follows from
@@ -354,5 +354,4 @@ class FieldTable:
                 break  # every row is built: the candidate is irreducible
         self.modulus = coeffs + (1,)
         self.add, self.mul = add, mul
-        self.neg = [row.index(0) for row in add]
         self.inv = [None] + [row.index(1) for row in mul[1:]]

@@ -258,7 +258,7 @@ def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
     x = (masks[0] & -masks[0]).bit_length() - 1
     if len(G.orbit(x)) != reduce(or_, masks).bit_count():
         return False
-    roots = PermutationGroup(map(Permutation, combined), v + len(masks))._suborbits(x)
+    roots, _ = PermutationGroup(map(Permutation, combined), v + len(masks))._suborbits(x)
     return len({roots[v + j] for j in _points(rows[x])}) == 1
 
 

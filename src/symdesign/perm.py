@@ -5,7 +5,10 @@ format and the group file format use 1-based labels.  A group carries one
 lazily built stabilizer chain that provides order and membership testing:
 Knuth's deterministic form of Schreier-Sims over a base grown on demand,
 one base point for each level with a nontrivial transversal.  Point
-stabilizers and subdegrees come from Schreier generators, with no chain.
+stabilizers, subdegrees and primitivity come from Schreier generators, with
+no chain: one pass, `_suborbits`, answers transitivity, rank and
+subdegrees, and stops at rank 2, where the group is 2-transitive and so
+primitive with no block sought.
 
 The chain and the Schreier generators multiply and invert permutations
 through the kernels `_kernels(degree)` picks from the degree alone.  Up to
@@ -316,52 +319,69 @@ class PermutationGroup:
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         """The stabilizer of point, generated by its Schreier generators
         (Schreier's lemma); no stabilizer chain is built."""
-        self._check_points((point,))
-        return PermutationGroup(map(Permutation, self._schreier_generators(point)), self.degree)
+        return PermutationGroup(map(Permutation, self._schreier_generators(point)[1]), self.degree)
 
     def subdegrees(self, point: int = 0) -> list[int]:
-        """Sorted orbit lengths of the stabilizer of point (G transitive)."""
-        if not self.is_transitive():
+        """Sorted orbit lengths of the stabilizer of point (G transitive).
+        An intransitive group is reported before a point out of range."""
+        if 0 <= point < self.degree:
+            roots, transitive = self._suborbits(point)
+        else:
+            roots, transitive = None, self.is_transitive()
+        if not transitive:
             raise ValueError("subdegrees require a transitive group")
         self._check_points((point,))
-        return sorted(Counter(self._suborbits(point)).values())
+        return sorted(Counter(roots).values())
 
-    def _suborbits(self, point: int) -> tuple[int, ...]:
+    def _suborbits(self, point: int) -> tuple[tuple[int, ...], bool]:
         """The orbits of the stabilizer of point, as the least point of
-        each point's orbit.
+        each point's orbit, and whether G is transitive: one pass answers
+        transitivity, rank, subdegrees and primitivity.
 
-        The Schreier generators of G_point generate it, so the classes of a
-        union-find over them are its orbits; no stabilizer chain is built.
-        `roots`, a table, maps each point to its class minimum, so
-        then(h, roots) maps x to the minimum of h(x)'s class.  A generator
-        that maps every point into its own class merges nothing and is
-        skipped; otherwise the union-find, over class minima only, joins the
-        two minima wherever they differ, and one translate table re-maps the
-        merged minima.  Every generator fixes point, so once the classes are
-        {point} and the rest, no later one can change them.
+        The breadth-first search of `_schreier_generators` finds the orbit
+        of point, and G is transitive iff it is every point.  The Schreier
+        generators of G_point generate it, so the classes of a union-find
+        over them are its orbits; no stabilizer chain is built.  `roots`
+        maps each point to its class minimum, so then(h, table(roots)) maps
+        x to the minimum of h(x)'s class.  A generator that maps every point
+        into its own class merges nothing and is skipped; otherwise the
+        distinct pairs of minima it gives, one set built in C, join their
+        classes in `parent`, a forest whose roots are the class minima, and
+        `parent` as one translate table re-maps the merged minima.  Every
+        generator fixes point, so once the classes are {point} and the rest
+        (rank 2), no later one can change them and the pass stops.
         """
         encode, table, then, _, identity = _kernels(self.degree)
-        roots = table(identity)
+        orbit, generators = self._schreier_generators(point)
+        roots = identity
         parent = list(range(self.degree))
         classes = self.degree
-        for h in self._schreier_generators(point):
-            moved = then(h, roots)
-            if moved == roots[: self.degree]:
+        for h in generators:
+            moved = then(h, table(roots))
+            if moved == roots:
                 continue
-            pairs = {(r, s) for r, s in zip(roots, moved) if r != s}
-            for r, s in pairs:
-                if _union(parent, r, s):
-                    classes -= 1
-            # h is a bijection, so a class that takes in a point from another
-            # class (an s) also sends one out (is an r): re-mapping the r's
-            # re-maps every merged minimum
-            remap = list(range(self.degree))
-            for r, _ in pairs:
-                remap[r] = _find(parent, r)
-            roots = then(roots, table(encode(remap)))
+            merged = []
+            for r, s in set(zip(roots, moved)):
+                if r != s:
+                    while parent[r] != r:
+                        r = parent[r]
+                    while parent[s] != s:
+                        s = parent[s]
+                    if r != s:
+                        if r > s:
+                            r, s = s, r
+                        parent[s] = r
+                        merged.append(s)
+            classes -= len(merged)
+            # each merged minimum links to a smaller one, so in ascending
+            # order each finds its new minimum one step up; parent fixes every
+            # other minimum, so as a table it re-maps roots
+            for m in sorted(merged):
+                parent[m] = parent[parent[m]]
+            roots = then(roots, table(encode(parent)))
             if classes == 2:
                 break
-        return tuple(roots[: self.degree])
+        return tuple(roots), len(orbit) == self.degree
 
     def _congruence(self, points) -> list[int]:
         """The finest G-invariant partition that has `points` in one class,
@@ -400,16 +420,23 @@ class PermutationGroup:
     def is_primitive(self) -> tuple[bool, BlockSystem | None]:
         """Primitivity test; on failure also returns a witness system.
 
-        Scans minimal_block(0, beta) in ascending beta (valid by
-        transitivity) and develops the first smallest proper block found
-        into its partition.  An element h of the stabilizer G_0 carries the
-        minimal block of {0, beta} onto that of {0, h(beta)}, so the least
-        point of each orbit of G_0 gives the same first smallest block.
+        A group of rank 2, where G_0 is transitive on the other points, is
+        2-transitive and so primitive (Dixon and Mortimer, *Permutation
+        Groups*, 1996): no block is sought.  Otherwise scans
+        minimal_block(0, beta) in ascending beta (valid by transitivity)
+        and develops the first smallest proper block found into its
+        partition.  An element h of the stabilizer G_0 carries the minimal
+        block of {0, beta} onto that of {0, h(beta)}, so the least point of
+        each orbit of G_0 gives the same first smallest block.
         """
-        if not self.is_transitive():
+        roots, transitive = self._suborbits(0)
+        if not transitive:
             raise ValueError("primitivity requires a transitive group")
+        betas = sorted(set(roots) - {0})
+        if len(betas) < 2:
+            return True, None
         best: frozenset[int] | None = None
-        for beta in sorted(set(self._suborbits(0)) - {0}):
+        for beta in betas:
             blk = self.minimal_block(0, beta)
             if len(blk) < self.degree and (best is None or len(blk) < len(best)):
                 best = blk
@@ -418,35 +445,46 @@ class PermutationGroup:
         return False, self.block_system(best)
 
     def _schreier_generators(self, point: int):
-        """The nontrivial Schreier generators of the stabilizer of `point`,
-        encoded as `_kernels(degree)` encodes (degree-length bytes up to
-        degree 256), made one at a time (Seress, *Permutation Group
+        """The orbit of `point`, in breadth-first order, and an iterator
+        over the nontrivial Schreier generators of its stabilizer, encoded
+        as `_kernels(degree)` encodes (degree-length bytes up to degree
+        256) and made one at a time (Seress, *Permutation Group
         Algorithms*, 2003, 4.1).
 
         A breadth-first search over the generators gives u[x], carrying
-        point to x, and its inverse t[x], a table, for every x in the
-        orbit.  Each generator s and orbit point x give t[s(x)] s u[x],
-        which fixes point.  The deepest points come first: their
-        representatives are the longest words.
+        point to x, for every x in the orbit.  Each generator s and orbit
+        point x give t[s(x)] s u[x], which fixes point; t[y], the inverse of
+        u[y] as a table, is made by `invert` the first time a generator
+        needs it, so a caller that stops early inverts only a few.  The
+        deepest points come first: their representatives are the longest
+        words.
         """
+        self._check_points((point,))
         encode, table, then, invert, identity = _kernels(self.degree)
-        # each generator as a table, with its inverse, built once
-        pairs = [(table(s), invert(s)) for s in (encode(g.images) for g in self.generators)]
+        gens = [table(encode(g.images)) for g in self.generators]
         u = {point: identity}
-        t = {point: table(identity)}
         queue = [point]
         for x in queue:
-            for s, s_inv in pairs:
+            for s in gens:
                 y = s[x]
                 if y not in u:
                     u[y] = then(u[x], s)
-                    t[y] = then(s_inv, t[x])
                     queue.append(y)
-        for x in reversed(queue):
-            for s, _ in pairs:
-                h = then(then(u[x], s), t[s[x]])
-                if h != identity:
-                    yield h
+
+        def products():
+            t = {}
+            for x in reversed(queue):
+                ux = u[x]
+                for s in gens:
+                    y = s[x]
+                    ty = t.get(y)
+                    if ty is None:
+                        ty = t[y] = invert(u[y])
+                    h = then(then(ux, s), ty)
+                    if h != identity:
+                        yield h
+
+        return queue, products()
 
     def block_system(self, block) -> BlockSystem:
         """The G-invariant partition generated by one block.

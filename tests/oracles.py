@@ -26,7 +26,10 @@ constructor, since the library composes only inside its kernels, and
 image maps a set of points through a permutation.
 brent_rho_reference is no independent oracle either: it is the Brent rho
 loop with one product per step, kept to pin that the library's batched loop
-returns the same factor.
+returns the same factor.  Nor is eager_schreier_generators: it stores a
+representative and its inverse for every orbit point, as the library once
+did, to pin that the library's lazy inverses yield the same generators in
+the same order and forms.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 from itertools import combinations, product
 
 from symdesign.algebra import FieldTable, PrimePower
-from symdesign.perm import Permutation, PermutationGroup, parse_group_text
+from symdesign.perm import Permutation, PermutationGroup, _kernels, parse_group_text
 
 
 def group_from_text(text, degree):
@@ -387,6 +390,34 @@ def chain_subdegrees(G, point):
         raise ValueError("subdegrees require a transitive group")
     stab = chain_stabilizer(G, point)
     return sorted(len(orb) for orb in stab.orbits())
+
+
+def eager_schreier_generators(G, point):
+    """The orbit of point in breadth-first order and the list of nontrivial
+    Schreier generators of its stabilizer, in the forms of _kernels: the
+    search stores u[x], carrying point to x, and its inverse t[x], a table,
+    for every orbit point x, each t[y] made from its parent's as
+    s^-1 then t[x]; then for the orbit points deepest first and each
+    generator s, t[s(x)] s u[x] is kept unless it is the identity."""
+    encode, table, then, invert, identity = _kernels(G.degree)
+    pairs = [(table(s), invert(s)) for s in (encode(g.images) for g in G.generators)]
+    u = {point: identity}
+    t = {point: table(identity)}
+    queue = [point]
+    for x in queue:
+        for s, s_inv in pairs:
+            y = s[x]
+            if y not in u:
+                u[y] = then(u[x], s)
+                t[y] = then(s_inv, t[x])
+                queue.append(y)
+    out = []
+    for x in reversed(queue):
+        for s, _ in pairs:
+            h = then(then(u[x], s), t[s[x]])
+            if h != identity:
+                out.append(h)
+    return queue, out
 
 
 def brute_subdegrees(elements, point):

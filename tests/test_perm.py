@@ -18,6 +18,7 @@ from oracles import (
     chain_subdegrees,
     compose,
     conjugate,
+    eager_schreier_generators,
     group_from_text,
     image,
     pgl2_generators,
@@ -898,6 +899,107 @@ def test_subdegrees_vs_brute_closure():
             assert G.subdegrees(p) == brute_subdegrees(elements, p) == chain_subdegrees(G, p)
 
 
+def affine_300():
+    """x -> x + 1 and x -> 7x on Z_300: transitive of order 1200, and the
+    stabilizer of 0, generated by x -> 7x, has order 4.  Degree 300 takes
+    the tuple kernels."""
+    return PermutationGroup(
+        [Permutation((x + 1) % 300 for x in range(300)), Permutation(7 * x % 300 for x in range(300))]
+    )
+
+
+def assert_same_schreier_generators(G, points):
+    """The lazy Schreier generators equal the eager reference's, in the
+    same order, with the same orbit; returns how many there were."""
+    count = 0
+    for point in points:
+        orbit, generators = G._schreier_generators(point)
+        generators = list(generators)
+        assert (orbit, generators) == eager_schreier_generators(G, point)
+        count += len(generators)
+    return count
+
+
+def test_schreier_generators_match_eager_reference():
+    for G in random_small_groups():
+        assert_same_schreier_generators(G, range(G.degree))
+    G = PermutationGroup(relabelled(pgl2_generators(5), random.Random(37)))
+    assert assert_same_schreier_generators(G, range(G.degree)) > 0
+
+
+def test_schreier_generators_match_eager_reference_above_256():
+    G = affine_300()
+    points = (0, 1, 150, 299)
+    assert type(_kernels(G.degree)[4]) is tuple
+    assert assert_same_schreier_generators(G, points) > 0
+    elements = brute_elements([g.images for g in G.generators], G.degree)
+    assert len(elements) == 1200
+    for point in points:
+        assert G.subdegrees(point) == brute_subdegrees(elements, point) == chain_subdegrees(G, point)
+    assert not assert_matches_scan(G)[0]
+
+
+def test_suborbits_stop_at_rank_2(monkeypatch):
+    # PGL(8, 2) has 146 nontrivial Schreier generators at 0; a few already
+    # leave the classes {0} and the rest, and the pass takes no more
+    schreier_generators = PermutationGroup._schreier_generators
+    taken = []
+
+    def counted(self, point):
+        orbit, generators = schreier_generators(self, point)
+        return orbit, (taken.append(h) or h for h in generators)
+
+    monkeypatch.setattr(PermutationGroup, "_schreier_generators", counted)
+    G = PermutationGroup(pgl2_generators(8))
+    assert G.subdegrees(0) == [1, 254]
+    assert 0 < len(taken) < 10
+    taken.clear()
+    assert G.is_primitive() == (True, None)
+    assert 0 < len(taken) < 10
+
+
+def two_transitive_groups():
+    """The 2-transitive groups the tests build, by name: PGL(n, 2) on
+    PG(n-1, 2) for n = 2..8 (relabelled), with repeated and identity
+    generators, S_3, S_14, A_15, the degree-2 group with and without an
+    identity generator (the regular C_2), the vendored PSL(2, 7) and
+    PSL(2, 11), AGL(1, 257), which takes the tuple kernels, and the
+    2-transitive ones among random_small_groups()."""
+    rng = random.Random(2)
+    cases = {f"PGL{n}_2": PermutationGroup(relabelled(pgl2_generators(n), rng)) for n in range(2, 9)}
+    cases["PGL5_2-repeated"] = PermutationGroup([Permutation(range(31))] + pgl2_generators(5) * 2)
+    cases["S3"] = group_from_text("(1,2)\n(1,2,3)", 3)
+    cases["S14"] = group_from_text("(1,2)\n(" + ",".join(map(str, range(1, 15))) + ")", 14)
+    cases["A15"] = group_from_text("(1,2,3)\n(" + ",".join(map(str, range(1, 16))) + ")", 15)
+    cases["C2"] = group_from_text("(1,2)", 2)
+    cases["C2-identity"] = group_from_text("()\n(1,2)", 2)
+    for name in ("psl2_7.grp", "psl2_11.grp"):
+        cases[name] = load_group(name)
+    # 3 generates the units mod 257
+    cases["AGL1_257"] = PermutationGroup(
+        [Permutation((x + 1) % 257 for x in range(257)), Permutation(3 * x % 257 for x in range(257))]
+    )
+    for i, G in enumerate(random_small_groups()):
+        if G.is_transitive() and len(G.subdegrees(0)) == 2:
+            cases[f"random{i}"] = G
+    return cases
+
+
+TWO_TRANSITIVE = two_transitive_groups()
+
+
+def test_two_transitive_groups_include_random_ones():
+    assert sum(name.startswith("random") for name in TWO_TRANSITIVE) >= 3
+
+
+@pytest.mark.parametrize("name", sorted(TWO_TRANSITIVE))
+def test_is_primitive_matches_scan_on_two_transitive_groups(name):
+    G = TWO_TRANSITIVE[name]
+    # rank 2: G_0 is transitive on the other points
+    assert G.subdegrees(0) == [1, G.degree - 1]
+    assert assert_matches_scan(G) == (True, None)
+
+
 def count_minimal_block_calls(monkeypatch, G):
     calls = []
     minimal_block = PermutationGroup.minimal_block
@@ -912,14 +1014,14 @@ def count_minimal_block_calls(monkeypatch, G):
     return answer, len(calls)
 
 
-@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("n", [6, 8, "S14", "A15", "psl2_7.grp", "psl2_11.grp"])
 def test_is_primitive_tests_a_handful_of_points(monkeypatch, n):
-    # PGL(n, 2) is 2-transitive: one orbit of G_0 on the other 2^n - 2 points
-    (primitive, system), calls = count_minimal_block_calls(
-        monkeypatch, PermutationGroup(pgl2_generators(n))
-    )
+    # PGL(n, 2) and the others are 2-transitive: one orbit of G_0 on the
+    # other points, so G is primitive and no block is sought
+    G = PermutationGroup(pgl2_generators(n)) if isinstance(n, int) else TWO_TRANSITIVE[n]
+    (primitive, system), calls = count_minimal_block_calls(monkeypatch, G)
     assert primitive and system is None
-    assert calls == 1
+    assert calls == 0
 
 
 @pytest.mark.parametrize("name", ["sigma45.grp", "psu4_2.grp"])
