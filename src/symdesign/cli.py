@@ -102,22 +102,38 @@ def _cmd_group(args) -> int:
     point = args.point - 1
     if not 0 <= point < G.degree:
         raise UsageError(f"--point must be in 1..{G.degree}")
-    if args.query in ("subdegrees", "primitive") and not G.is_transitive():
-        print("group is not transitive")
-        return 1
     if args.query == "order":
         print(G.order())
     elif args.query == "orbits":
         for orb in G.orbits():
             print(",".join(str(p + 1) for p in sorted(orb)))
     elif args.query == "subdegrees":
-        print(" ".join(map(str, G.subdegrees(point))))
+        subdegrees = _if_transitive(G.subdegrees, point)
+        if subdegrees is None:
+            print("group is not transitive")
+            return 1
+        print(" ".join(map(str, subdegrees)))
     else:
-        text, system = _primitivity(G)
+        answer = _if_transitive(_primitivity, G)
+        if answer is None:
+            print("group is not transitive")
+            return 1
+        text, system = answer
         print(f"primitive: {text}")
         for cls in system.classes() if system else ():
             print(",".join(str(p + 1) for p in sorted(cls)))
     return 0
+
+
+def _if_transitive(query, *args):
+    """query(*args), or None when it refuses an intransitive group: the
+    query's own pass finds the orbit, so none is searched first."""
+    try:
+        return query(*args)
+    except ValueError as exc:
+        if not str(exc).endswith(" a transitive group"):
+            raise
+        return None
 
 
 def _primitivity(G):
@@ -136,7 +152,8 @@ def _cmd_flagtest(args) -> int:
     except ValueError as exc:
         print(f"precondition failed: {exc}")
         return 1
-    prim_text = _primitivity(G)[0] if G.is_transitive() else "no (intransitive)"
+    answer = _if_transitive(_primitivity, G)
+    prim_text = "no (intransitive)" if answer is None else answer[0]
     print(f"flag-transitive: {'yes' if ft else 'no'}; primitive: {prim_text}")
     return 0 if ft else 1
 

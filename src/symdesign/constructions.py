@@ -213,15 +213,18 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     difference set exists.
 
     The counts are w-bit lanes of one int, lane d for position d, with
-    w = (lam + 2k).bit_length() + 2.  step[y][z] holds the lanes of z*y^-1
-    and y*z^-1, and adds[z] the sum of step[y][z] over the chosen y, so
-    taking z adds adds[z] to the counts in one int addition, and a push
-    rebuilds adds with step[z].  The counts start at bias, 2^(w-1) - 1 - lam
-    in every lane, so a lane reaches its top bit, in the mask high, exactly
-    when its count exceeds lam: (counts + adds[z]) & high tests every lane
-    at once.  A lane never carries into the next: a count stays <= lam, and
-    a candidate adds at most 2 to a lane, since z*y^-1 differs for
-    different y and so does y*z^-1.
+    w = (lam + 2k).bit_length() + 2.  For y < z, tail[y][z - y - 1] holds
+    the lanes of z*y^-1 and y*z^-1, and their sum over the chosen y is what
+    taking z adds to the counts, in one int addition.  A partial set keeps
+    these sums only in a window, the positions from its start on, the only
+    ones it and its extensions can choose: adds[i] is the sum for position
+    start + i, and pushing z builds the child's window, the positions after
+    z, from the rest of the parent's and tail[z].  The counts start at
+    bias, 2^(w-1) - 1 - lam in every lane, so a lane reaches its top bit,
+    in the mask high, exactly when its count exceeds lam: (counts + adds[i])
+    & high tests every lane at once.  A lane never carries into the next: a
+    count stays <= lam, and a candidate adds at most 2 to a lane, since
+    z*y^-1 differs for different y and so does y*z^-1.
     """
     n = len(ambient)
     if n > 64:
@@ -233,7 +236,7 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     quotient = ambient._quotient
     w = (lam + 2 * k).bit_length() + 2
     lane = [1 << (w * d) for d in range(n)]
-    step = [[lane[quotient[z][y]] + lane[quotient[y][z]] for z in range(n)] for y in range(n)]
+    tail = [[lane[quotient[z][y]] + lane[quotient[y][z]] for z in range(y + 1, n)] for y in range(n)]
     ones = sum(lane)
     bias, high = ((1 << (w - 1)) - 1 - lam) * ones, (1 << (w - 1)) * ones
     chosen = [0]
@@ -241,17 +244,18 @@ def find_difference_set(ambient: AmbientGroup, k: int, lam: int):
     def extend(start: int, counts: int, adds: list[int]) -> bool:
         if len(chosen) == k:
             return True
-        for z, added in enumerate(adds[start : n - k + len(chosen) + 1], start):
+        for i, added in enumerate(adds[: n - k + len(chosen) + 1 - start]):
             total = counts + added
             if total & high:
                 continue
+            z = start + i
             chosen.append(z)
-            if extend(z + 1, total, list(map(operator.add, adds, step[z]))):
+            if extend(z + 1, total, list(map(operator.add, adds[i + 1 :], tail[z]))):
                 return True
             chosen.pop()
         return False
 
-    if not extend(1, bias, step[0]):
+    if not extend(1, bias, tail[0]):
         return None
     return DifferenceSetSpec(ambient, tuple(ambient.elements[i] for i in chosen))
 

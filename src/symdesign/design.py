@@ -97,13 +97,20 @@ class IncidenceStructure:
         """Check the symmetric 2-design conditions, returning (v, k, λ).
 
         Raises DesignError with a code identifying the first violation:
-        repeated_block, block_count, block_size, or pair_count.  The dual
-        condition needs no check: v distinct blocks of size k covering every
-        point pair exactly lambda times form a symmetric design, so by
-        Ryser's theorem any two blocks meet in exactly lambda points.
-        Pairs are counted on the point rows, bit j of row x set when block j
-        holds x, which one transpose of the block masks gives; the first
-        bad pair in lexicographic order is named.
+        repeated_block, block_count, block_size, or pair_count.
+
+        Let A be the v x v incidence matrix, rows blocks and columns points,
+        with k(k-1) = λ(v-1); k < v, as the v blocks are distinct, so
+        k > λ.  Ryser's theorem (1950) gives both directions: A Aᵀ =
+        (k-λ)I + λJ, every two blocks meeting in λ points, holds iff Aᵀ A =
+        (k-λ)I + λJ, every two points lying on λ blocks.  So when
+        λ = k(k-1)/(v-1) is an integer the block pairs are counted first,
+        on the masks as they are held, and if every pair meets in λ points
+        the answer is (v, k, λ) with no transpose.  Otherwise, or when λ is
+        not an integer, some point pair is bad: one transpose of the masks
+        gives the point rows, bit j of row x set when block j holds x, and
+        the point pairs are counted on them to name the first bad pair in
+        lexicographic order.
         """
         v, masks = self.v, self.masks
         if len(set(masks)) != len(masks):
@@ -121,8 +128,14 @@ class IncidenceStructure:
         k = sizes.pop()
         if v == 1:
             return DesignParams(1, k, 0)
-        rows = _transpose(masks, v)
         lam = k * (k - 1) // (v - 1) if k * (k - 1) % (v - 1) == 0 else None
+        if lam is not None:
+            for a, b in combinations(masks, 2):
+                if (a & b).bit_count() != lam:
+                    break
+            else:
+                return DesignParams(v, k, lam)
+        rows = _transpose(masks, v)
         for x, y in combinations(range(v), 2):
             count = (rows[x] & rows[y]).bit_count()
             if count != lam:
@@ -236,8 +249,10 @@ def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
     every point on some block and the stabilizer of x is transitive on the
     blocks through x: one orbit of the stabilizer, from `_suborbits` and so
     from Schreier generators (Seress, *Permutation Group Algorithms*, 2003,
-    4.1), holds every block through x.  A generator's block images come
-    from the point rows of D by a permutation and a transpose.
+    4.1), holds every block through x.  The blocks through x are the stop
+    set of that pass, which ends as soon as they share one class.  A
+    generator's block images come from the point rows of D by a
+    permutation and a transpose.
     """
     if G.degree != D.v:
         raise ValueError("degree mismatch")
@@ -258,8 +273,9 @@ def is_flag_transitive(G: PermutationGroup, D: IncidenceStructure) -> bool:
     x = (masks[0] & -masks[0]).bit_length() - 1
     if len(G.orbit(x)) != reduce(or_, masks).bit_count():
         return False
-    roots, _ = PermutationGroup(map(Permutation, combined), v + len(masks))._suborbits(x)
-    return len({roots[v + j] for j in _points(rows[x])}) == 1
+    through = [v + j for j in _points(rows[x])]
+    roots, _ = PermutationGroup(map(Permutation, combined), v + len(masks))._suborbits(x, through)
+    return len({roots[j] for j in through}) == 1
 
 
 def orbit_design(G: PermutationGroup, base_block) -> IncidenceStructure:

@@ -8,7 +8,8 @@ one base point for each level with a nontrivial transversal.  Point
 stabilizers, subdegrees and primitivity come from Schreier generators, with
 no chain: one pass, `_suborbits`, answers transitivity, rank and
 subdegrees, and stops at rank 2, where the group is 2-transitive and so
-primitive with no block sought.
+primitive with no block sought, or once the points a caller names share
+one orbit of the stabilizer.
 
 The chain and the Schreier generators multiply and invert permutations
 through the kernels `_kernels(degree)` picks from the degree alone.  Up to
@@ -333,7 +334,7 @@ class PermutationGroup:
         self._check_points((point,))
         return sorted(Counter(roots).values())
 
-    def _suborbits(self, point: int) -> tuple[tuple[int, ...], bool]:
+    def _suborbits(self, point: int, stop=None) -> tuple[tuple[int, ...], bool]:
         """The orbits of the stabilizer of point, as the least point of
         each point's orbit, and whether G is transitive: one pass answers
         transitivity, rank, subdegrees and primitivity.
@@ -350,10 +351,24 @@ class PermutationGroup:
         `parent` as one translate table re-maps the merged minima.  Every
         generator fixes point, so once the classes are {point} and the rest
         (rank 2), no later one can change them and the pass stops.
+
+        `stop`, when given, is a set of points whose classes the caller
+        asks about: the pass also stops once they all lie in one class,
+        which is final, as classes only merge; with fewer than two points
+        it takes no generator.  After such a stop `roots` is partial: it
+        puts the points of `stop` in one class, but other classes may be
+        parts of one orbit still.
         """
         encode, table, then, _, identity = _kernels(self.degree)
         orbit, generators = self._schreier_generators(point)
         roots = identity
+        stop_roots = None  # the roots of the points of stop, as a tuple
+        if stop is not None:
+            stop = list(stop)
+            if len(stop) < 2:
+                generators = ()
+            else:
+                stop_roots = itemgetter(*stop)
         parent = list(range(self.degree))
         classes = self.degree
         for h in generators:
@@ -379,7 +394,7 @@ class PermutationGroup:
             for m in sorted(merged):
                 parent[m] = parent[parent[m]]
             roots = then(roots, table(encode(parent)))
-            if classes == 2:
+            if classes == 2 or (stop_roots and len(set(stop_roots(roots))) == 1):
                 break
         return tuple(roots), len(orbit) == self.degree
 

@@ -14,7 +14,7 @@ from symdesign import elimination
 from symdesign.algebra import factorize
 from symdesign.cli import build_parser, main
 from symdesign.design import MAX_MASK_BITS, read_design_file
-from symdesign.perm import MAX_DEGREE, read_group_file
+from symdesign.perm import MAX_DEGREE, PermutationGroup, read_group_file
 
 
 def run(capsys, *argv):
@@ -225,11 +225,31 @@ def test_group_queries(capsys, tmp_path):
     assert out.strip().count("\n") == 0  # transitive: one orbit line
 
 
+def _no_orbit_search(self):
+    raise AssertionError("is_transitive called")
+
+
 @pytest.mark.parametrize("query", ["subdegrees", "primitive"])
-def test_group_query_needs_transitive(capsys, tmp_path, query):
+def test_group_query_needs_transitive(capsys, monkeypatch, tmp_path, query):
+    # the query's own pass reports the intransitive group: no orbit search first
+    monkeypatch.setattr(PermutationGroup, "is_transitive", _no_orbit_search)
     g_file = tmp_path / "g.grp"
     g_file.write_text("degree 4\n(1,2)\n")
     assert run(capsys, "group", query, str(g_file)) == (1, "group is not transitive\n", "")
+
+
+@pytest.mark.parametrize("verb", ["group", "flagtest"])
+def test_primitivity_errors_other_than_intransitivity_propagate(monkeypatch, tmp_path, verb):
+    def broken(self):
+        raise ValueError("some other failure")
+
+    monkeypatch.setattr(PermutationGroup, "is_primitive", broken)
+    g_file, d_file = tmp_path / "g.grp", tmp_path / "d.design"
+    g_file.write_text("degree 3\n(1,2,3)\n")
+    d_file.write_text("v 3\n1\n2\n3\n")
+    argv = ["group", "primitive", str(g_file)] if verb == "group" else [verb, str(g_file), str(d_file)]
+    with pytest.raises(ValueError, match="some other failure"):
+        main(argv)
 
 
 @pytest.mark.parametrize("name, line", [("sigma45.grp", "1 8 36\n"), ("psu4_2.grp", "1 12 32\n")])
@@ -554,7 +574,8 @@ def test_flagtest_degree_mismatch(capsys, tmp_path):
     ],
     ids=["no-blocks", "intransitive"],
 )
-def test_flagtest_intransitive_group(capsys, tmp_path, blocks, expected):
+def test_flagtest_intransitive_group(capsys, monkeypatch, tmp_path, blocks, expected):
+    monkeypatch.setattr(PermutationGroup, "is_transitive", _no_orbit_search)
     g_file, d_file = tmp_path / "g.grp", tmp_path / "d.design"
     g_file.write_text("degree 3\n(1,2)\n")
     d_file.write_text("v 3\n" + blocks)

@@ -19,7 +19,16 @@ from oracles import (
     pgl2_generators,
 )
 from symdesign import design
-from symdesign.constructions import catalog, load_group, projective_space
+from symdesign.constructions import (
+    _AMBIENTS,
+    CATALOG_NAMES,
+    catalog,
+    develop_difference_set,
+    find_difference_set,
+    load_group,
+    pg_params,
+    projective_space,
+)
 from symdesign.design import (
     DesignError,
     DesignParams,
@@ -93,6 +102,29 @@ def _pair_count_message(v, blocks):
     return f"point pair {x + 1},{y + 1} lies on {count} blocks{expected}"
 
 
+def _late_first_bad_block_pair(v, blocks):
+    """The blocks reordered so that the first block pair, in
+    combinations order, that does not meet in lambda points comes late:
+    blocks that meet fewer others in a count other than lambda go first.
+    The point pair counts, and so the message, do not depend on the order."""
+    k = len(blocks[0])
+    if k * (k - 1) % (v - 1):
+        return list(blocks)  # lambda is not an integer: no block pair is counted
+    lam = k * (k - 1) // (v - 1)
+    sets = [set(b) for b in blocks]
+    bad = [sum(len(a & b) != lam for b in sets) - (len(a) != lam) for a in sets]
+    return [blocks[j] for j in sorted(range(len(blocks)), key=bad.__getitem__)]
+
+
+def _first_bad_block_pair_index(v, blocks):
+    """The position, in combinations order, of the first block pair that
+    does not meet in lambda points; None when there is none."""
+    k = len(blocks[0])
+    lam = k * (k - 1) // (v - 1)
+    pairs = combinations(map(set, blocks), 2)
+    return next((i for i, (a, b) in enumerate(pairs) if len(a & b) != lam), None)
+
+
 def _verify_message(v, blocks):
     try:
         IncidenceStructure(v, blocks).verify_symmetric()
@@ -104,7 +136,9 @@ def _verify_message(v, blocks):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_pair_count_names_first_bad_pair_on_corrupted_pg(n):
-    # one point of one hyperplane of PG(n-1,2) moved off it
+    # one point of one hyperplane of PG(n-1,2) moved off it, the blocks as
+    # built and reordered so that the first bad block pair comes after half
+    # of all block pairs
     rng = random.Random(n)
     blocks = [sorted(b) for b in projective_space(n, 2).blocks]
     v = len(blocks)
@@ -115,22 +149,31 @@ def test_pair_count_names_first_bad_pair_on_corrupted_pg(n):
         expected = _pair_count_message(v, moved)
         assert expected is not None and "expected" in expected
         assert _verify_message(v, moved) == expected
+        late = _late_first_bad_block_pair(v, moved)
+        assert _first_bad_block_pair_index(v, late) > v * (v - 1) // 4
+        assert _verify_message(v, late) == expected
 
 
 def test_pair_count_names_first_bad_pair_on_random_structures():
+    # k runs from 1 (lambda = 0) to v - 1, and lambda is often not an
+    # integer; each structure is also checked with its blocks reordered so
+    # that the first bad block pair comes late
     rng = random.Random(0)
-    seen = set()
+    seen, sizes = set(), set()
     for _ in range(300):
         v = rng.randrange(3, 11)
-        k = rng.randrange(2, v)
+        k = rng.randrange(1, v)
         blocks = set()
         while len(blocks) < v:
             blocks.add(tuple(sorted(rng.sample(range(v), k))))
         blocks = list(blocks)
         expected = _pair_count_message(v, blocks)
         assert _verify_message(v, blocks) == expected
+        assert _verify_message(v, _late_first_bad_block_pair(v, blocks)) == expected
         seen.add(None if expected is None else "expected" in expected)
+        sizes.add(min(k, 2) if k < v - 1 else "v-1")
     assert seen == {None, True, False}
+    assert sizes == {1, 2, "v-1"}
 
 
 def test_verify_rejects_irregular_pair_coverage():
@@ -318,6 +361,32 @@ def test_flag_transitive_matches_brute_on_relabelled_pg(n):
         assert is_flag_transitive(G, D) is brute_flag_transitive(G, D) is expected
 
 
+@pytest.mark.parametrize("n, most", [(5, 10), (6, 19)])
+def test_flag_orbit_pass_stops_once_the_blocks_through_x_merge(monkeypatch, n, most):
+    """The Schreier pass of the combined group stops once the blocks through
+    x share one class.  Run to the end it takes 18 to 20 generators on
+    PG(4,2) and 37 to 39 on PG(5,2) for these inputs; a group that is not
+    flag-transitive still runs it to the end."""
+    schreier_generators = PermutationGroup._schreier_generators
+    taken = []
+
+    def counted(self, point):
+        orbit, generators = schreier_generators(self, point)
+        return orbit, (taken.append(h) or h for h in generators)
+
+    monkeypatch.setattr(PermutationGroup, "_schreier_generators", counted)
+    for seed in range(5):
+        gens, blocks = _relabelled_pg(n, random.Random(seed))
+        D = IncidenceStructure(len(blocks), blocks)
+        for group, expected in ((gens, True), (gens[1:], False)):
+            G = PermutationGroup(group, D.v)
+            taken.clear()
+            assert is_flag_transitive(G, D) is expected
+            if expected:
+                assert 0 < len(taken) < most
+            assert brute_flag_transitive(G, D) is expected
+
+
 def _relabelled_pg(n, rng):
     """PGL(n,2) generators and the hyperplanes of PG(n-1,2) as point lists,
     with the points relabelled and the blocks shuffled."""
@@ -503,6 +572,44 @@ def test_brute_pair_counter_agrees(name, params):
     assert brute_verify_symmetric(D.v, D.blocks) == params
     p = D.verify_symmetric()
     assert (p.v, p.k, p.lam) == params
+
+
+@pytest.mark.parametrize(
+    "what",
+    list(CATALOG_NAMES)
+    + [f"pg {n} {q}" for n, q in ((3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 8), (3, 9),
+                                  (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (6, 2))]
+    + ["diffset cyclic7 3 1", "diffset cyclic11 5 2", "diffset ea16 6 2",
+       "diffset z2z8 6 2", "diffset q8z2 6 2"],
+)
+def test_verify_counts_block_pairs_with_no_transpose(monkeypatch, what):
+    # every catalog design, projective_space up to PG(4,3) and the first
+    # difference set of each CLI ambient group, developed, named as
+    # `construct` names them: every two blocks meet in lambda points, so
+    # the answer comes from the block masks.  The point rows are made only
+    # to name a bad point pair, which a one-point change shows
+    form, *args = what.split()
+    if form == "pg":
+        n, q = map(int, args)
+        D, params = projective_space(n, q), pg_params(n, q)
+    elif form == "diffset":
+        ambient, (k, lam) = _AMBIENTS[args[0]](), map(int, args[1:])
+        D = develop_difference_set(find_difference_set(ambient, k, lam))
+        params = (len(ambient), k, lam)
+    else:
+        inst = catalog(form)
+        D, params = inst.design, inst.expected_params
+
+    def no_transpose(masks, width):
+        raise AssertionError("transpose called")
+
+    monkeypatch.setattr(design, "_transpose", no_transpose)
+    assert D.verify_symmetric() == params
+    blocks = D.blocks_sorted()
+    bad = [set(b) for b in blocks]
+    bad[-1] = (bad[-1] - {blocks[-1][0]}) | {min(set(range(D.v)) - bad[-1])}
+    with pytest.raises(AssertionError, match="transpose called"):
+        IncidenceStructure(D.v, bad).verify_symmetric()
 
 
 def _verify_or_none(v, blocks):
