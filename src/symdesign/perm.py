@@ -4,7 +4,13 @@ Points are 0-based everywhere inside the library; the cycle-notation text
 format and the group file format use 1-based labels.  A group carries one
 lazily built stabilizer chain that provides order and membership testing:
 Knuth's deterministic form of Schreier-Sims over a base grown on demand,
-one base point for each level with a nontrivial transversal.  Point
+one base point for each level with a nontrivial transversal.  Each level
+keeps a point-indexed table, the stored inverse for each orbit point and
+None elsewhere, so one sift loop serves chain builds and membership: look
+up the image of the base point, stop at None, else compose.  A base point
+the permutation fixes reads the identity table there, so no level compares
+an image with its base point.  Order is the product of the orbit sizes.
+A table costs degree pointers per level besides the stored inverses.  Point
 stabilizers, subdegrees and primitivity come from Schreier generators, with
 no chain: one pass, `_suborbits`, answers transitivity, rank and
 subdegrees, and stops at rank 2, where the group is 2-transitive and so
@@ -17,7 +23,8 @@ degree 256 a permutation is a degree-length byte string, composed by
 `bytes.translate` and inverted by `bytes.maketrans`, each one C call;
 `translate` needs its outer operand as a 256-byte table, so only the
 values used that way (generators, inverses) are padded to one.  Above 256
-every form is an image tuple, composed by `_then`.  `Permutation.images`
+every form is an image tuple, composed by itemgetter, except that the
+identity table returns its inner operand as it is.  `Permutation.images`
 is always a tuple; `Permutation` has no product.
 """
 
@@ -104,12 +111,6 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r})"
 
 
-def _then(inner: tuple, outer: tuple) -> tuple:
-    """The image tuple of x -> outer[inner[x]]: inner, then outer.  Only for
-    `_kernels` above degree 256, where itemgetter of many indices is a tuple."""
-    return itemgetter(*inner)(outer)
-
-
 def _invert(images: tuple) -> tuple:
     """The image tuple of the inverse permutation."""
     inv = [0] * len(images)
@@ -123,17 +124,25 @@ _BYTE_IDENTITY = bytes(range(256))
 
 def _kernels(degree: int) -> tuple:
     """(encode, table, then, invert, identity) for permutations of degree,
-    where then(inner, outer) acts as _then and invert as _invert.
+    where then(inner, outer) is x -> outer[inner[x]], inner then outer, and
+    invert acts as _invert.
 
     Up to degree 256, encode takes an image sequence to degree-length
     bytes, the form of every inner operand, and table pads such bytes to
     the 256-byte table, fixing every point from degree on, that
     `bytes.translate` (then itself) takes as its outer operand; invert
     takes degree-length bytes to a table, and identity is degree-length.
-    Above 256 every form is the image tuple, and table returns it as it
-    is."""
+    Above 256 every form is the image tuple, table returns it as it is,
+    and then with the identity itself as outer returns inner with no
+    O(degree) copy."""
     if degree > 256:
-        return tuple, tuple, _then, _invert, tuple(range(degree))
+        identity = tuple(range(degree))
+
+        def then(inner, outer):
+            # a sift meets the identity table at each base point inner fixes
+            return inner if outer is identity else itemgetter(*inner)(outer)
+
+        return tuple, tuple, then, _invert, identity
     identity, tail = _BYTE_IDENTITY[:degree], _BYTE_IDENTITY[degree:]
     return (
         bytes,
@@ -149,75 +158,94 @@ class _StabilizerChain:
     Schreier-Sims.
 
     base, gens and transversals are parallel lists with one entry per
-    level.  gens[i] alone generates the stabilizer of base[:i];
-    transversals[i] maps each point x of the orbit of base[i] under it to
-    the inverse of a representative carrying base[i] to x.  A level opens
-    only for a generator that fixes every base point so far, at the least
-    point it moves, so every transversal has at least two entries and the
-    base depends on the order of the generators.  Everything is in the
-    forms of `_kernels(degree)`: up to degree 256, representatives,
-    products and sift residues are degree-length bytes, and generators and
-    stored inverses are 256-byte tables; above 256 all are image tuples.
+    level.  gens[i] alone generates the stabilizer of base[:i].
+    transversals[i] is a point-indexed table of length degree: entry x is
+    the inverse of a representative carrying base[i] to x when x is in the
+    orbit of base[i] under gens[i], and None off the orbit, and entry
+    base[i] is the identity table.  `levels` pairs each base point with
+    its table, for the one sift loop of `strip`.  A level opens only for a
+    generator that fixes every base point so far, at the least point it
+    moves, so every orbit has at least two points and the base depends on
+    the order of the generators.  Everything is in the forms of
+    `_kernels(degree)`: up to degree 256, representatives, products and
+    sift residues are degree-length bytes, and generators and stored
+    inverses are 256-byte tables; above 256 all are image tuples.
+
+    A table costs degree pointers per level on top of the stored inverses.
+    Above degree 256 that is one more inverse's worth, as an inverse is an
+    image tuple of degree pointers; up to 256 it is at most 2 KiB a level,
+    against 256 bytes for each stored inverse.
     """
 
     def __init__(self, generators, degree):
         self.encode, self.table, self.then, self.invert, self.identity = _kernels(degree)
         self.base: list[int] = []
         self.gens: list[list[bytes | tuple]] = []
-        self.transversals: list[dict] = []
+        self.transversals: list[list] = []
+        self.levels: list[tuple[int, list]] = []
         self._absorb([self.encode(g.images) for g in generators])
 
     def _absorb(self, generators) -> None:
         """Knuth's procedures A and B as one worklist, so nothing recurses.
 
         An item (level, g, True) is a candidate generator fixing base[:level]:
-        unless it sifts to the identity it joins gens[level], opening that
-        level if it is one past the last, and meets every representative
-        there.  An item (level, p, False) is such a product: a new image of
-        base[level] takes p as its representative and meets every generator
-        there; a known image gives a Schreier generator for level + 1.  Each
-        generator meets each representative once, when the later of the two
-        appears, and nothing restarts.
+        unless it is the identity or sifts to it from that level on, it
+        joins gens[level], opening that level if it is one past the last,
+        and meets every representative there.  An item (level, p, False) is
+        such a product: a new image of base[level] takes p as its
+        representative and meets every generator there; a known image gives
+        a Schreier generator, a candidate for level + 1, taken at once, as
+        the LIFO worklist would pop it next.  Each generator meets each
+        representative once, when the later of the two appears, and nothing
+        restarts.
         """
         table, then, invert, identity = self.table, self.then, self.invert, self.identity
+        base, gens, levels = self.base, self.gens, self.levels
         reps = []  # forward representatives, per level
         work = [(0, g, True) for g in reversed(generators)]
         while work:
             level, p, is_gen = work.pop()
-            if is_gen:
-                if self.strip(p) != identity:
-                    if level == len(self.base):
-                        b = next(x for x, y in enumerate(p) if x != y)
-                        self.base.append(b)
-                        self.gens.append([])
-                        self.transversals.append({b: table(identity)})
-                        reps.append({b: identity})
-                    p = table(p)
-                    self.gens[level].append(p)
-                    work.extend((level, then(u, p), False) for u in reps[level].values())
-                continue
-            img = p[self.base[level]]
-            tr = self.transversals[level]
-            inv = tr.get(img)
-            if inv is None:
-                reps[level][img] = p
-                tr[img] = invert(p)
-                work.extend((level, then(p, g), False) for g in self.gens[level])
-            else:
-                work.append((level + 1, then(p, inv), True))
-
-    def strip(self, p):
-        """Sift an encoded permutation, in the inner form of the kernels,
-        through the levels; the residue is the identity iff it is in the
-        group."""
-        then = self.then
-        for b, tr in zip(self.base, self.transversals):
-            img = p[b]
-            if img != b:
-                inv = tr.get(img)
+            if not is_gen:
+                b, tr = levels[level]
+                img = p[b]
+                inv = tr[img]
                 if inv is None:
-                    return p
+                    reps[level].append(p)
+                    tr[img] = invert(p)
+                    work.extend((level, then(p, g), False) for g in gens[level])
+                    continue
                 p = then(p, inv)
+                level += 1
+            if p != identity and self.strip(p, level) != identity:
+                if level == len(base):
+                    b = next(x for x, y in enumerate(p) if x != y)
+                    tr = [None] * len(identity)
+                    tr[b] = table(identity)
+                    base.append(b)
+                    gens.append([])
+                    self.transversals.append(tr)
+                    levels.append((b, tr))
+                    reps.append([identity])
+                p = table(p)
+                gens[level].append(p)
+                work.extend((level, then(u, p), False) for u in reps[level])
+
+    def strip(self, p, level=0):
+        """Sift an encoded permutation, in the inner form of the kernels,
+        through the levels from `level` on; the residue is the identity iff
+        it is in the group (p fixing base[:level]).
+
+        Each level is one lookup, tr[p[b]], and one product: a point off
+        the orbit reads None and ends the sift, and a base point that p
+        fixes reads the identity table, which leaves p unchanged, so no
+        level compares p[b] with b."""
+        then = self.then
+        # no slice copy for the sift from level 0, which contains makes
+        for b, tr in self.levels[level:] if level else self.levels:
+            inv = tr[p[b]]
+            if inv is None:
+                return p
+            p = then(p, inv)
         return p
 
 
@@ -306,7 +334,8 @@ class PermutationGroup:
         return out
 
     def order(self) -> int:
-        return prod(len(tr) for tr in self._chain().transversals)
+        """The product of the chain's orbit sizes."""
+        return prod(len(tr) - tr.count(None) for tr in self._chain().transversals)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

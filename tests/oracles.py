@@ -29,7 +29,10 @@ loop with one product per step, kept to pin that the library's batched loop
 returns the same factor.  Nor is eager_schreier_generators: it stores a
 representative and its inverse for every orbit point, as the library once
 did, to pin that the library's lazy inverses yield the same generators in
-the same order and forms.
+the same order and forms.  Nor is knuth_chain_reference: it builds the
+stabilizer chain with one dict per level and sifts each candidate from
+level 0, as the library once did, to pin that its point-indexed tables
+give the same base, generators and stored inverses in the same order.
 """
 
 from __future__ import annotations
@@ -418,6 +421,53 @@ def eager_schreier_generators(G, point):
             if h != identity:
                 out.append(h)
     return queue, out
+
+
+def knuth_chain_reference(G):
+    """The base, the generator lists and the transversals of G's stabilizer
+    chain as the library built them with one dict per level: Knuth's
+    procedures A and B as one LIFO worklist, each candidate generator
+    pushed and sifted from level 0 when popped, skipping the levels whose
+    base point it fixes, and each transversal a dict from orbit point to
+    stored inverse, in the forms of _kernels."""
+    encode, table, then, invert, identity = _kernels(G.degree)
+    base, gens, transversals, reps = [], [], [], []
+
+    def strip(p):
+        for b, tr in zip(base, transversals):
+            img = p[b]
+            if img != b:
+                inv = tr.get(img)
+                if inv is None:
+                    return p
+                p = then(p, inv)
+        return p
+
+    work = [(0, encode(g.images), True) for g in reversed(G.generators)]
+    while work:
+        level, p, is_gen = work.pop()
+        if is_gen:
+            if strip(p) != identity:
+                if level == len(base):
+                    b = next(x for x, y in enumerate(p) if x != y)
+                    base.append(b)
+                    gens.append([])
+                    transversals.append({b: table(identity)})
+                    reps.append({b: identity})
+                p = table(p)
+                gens[level].append(p)
+                work.extend((level, then(u, p), False) for u in reps[level].values())
+            continue
+        img = p[base[level]]
+        tr = transversals[level]
+        inv = tr.get(img)
+        if inv is None:
+            reps[level][img] = p
+            tr[img] = invert(p)
+            work.extend((level, then(p, g), False) for g in gens[level])
+        else:
+            work.append((level + 1, then(p, inv), True))
+    return base, gens, transversals
 
 
 def brute_subdegrees(elements, point):

@@ -21,6 +21,7 @@ from oracles import (
     eager_schreier_generators,
     group_from_text,
     image,
+    knuth_chain_reference,
     pgl2_generators,
     relabelled,
     scan_is_primitive,
@@ -224,25 +225,32 @@ def test_orbit_stabilizer_identity():
 
 
 def check_chain(chain):
-    """The chain's invariants: distinct base points, one generator list and
-    one transversal of at least 2 entries per level, gens[i] fixing
-    base[:i], the keys of transversals[i] the orbit of base[i] under
-    gens[i], and each stored inverse carrying its point back to base[i].
-    Generators and inverses are in the table form of the chain's kernels,
-    and each representative, the inverse of a stored inverse, encodes to
+    """The chain's invariants: distinct base points, one generator list, one
+    table and one (base point, table) pair in `levels` per level, gens[i]
+    fixing base[:i], each table of length degree with the identity table at
+    base[i], its non-None points exactly the orbit of base[i] under gens[i]
+    and of at least 2 points, and each stored inverse carrying its point
+    back to base[i].  Generators and inverses are in the table form of the
+    chain's kernels, fixing every point from degree up, and each
+    representative, the inverse of a stored inverse, encodes to
     degree-length bytes (tuples above degree 256) whose inverse is exactly
     the stored one."""
     base, identity = chain.base, chain.identity
     degree = len(identity)
     assert len(set(base)) == len(base) == len(chain.gens) == len(chain.transversals)
+    assert len(chain.levels) == len(base)
+    for (lb, ltr), b, tr in zip(chain.levels, base, chain.transversals):
+        assert lb == b and ltr is tr
     for i, (b, gens, tr) in enumerate(zip(base, chain.gens, chain.transversals)):
-        assert len(tr) >= 2
-        assert all(g == chain.table(g[:degree]) for g in [*gens, *tr.values()])
+        assert len(tr) == degree and tr[b] == chain.table(identity)
+        stored = {x: inv for x, inv in enumerate(tr) if inv is not None}
+        assert len(stored) >= 2
+        assert all(g == chain.table(g[:degree]) for g in [*gens, *stored.values()])
         images = [g[:degree] for g in gens]
         assert all(g[c] == c for g in images for c in base[:i])
         level = PermutationGroup([Permutation(g) for g in images], degree)
-        assert tr.keys() == level.orbit(b)
-        for x, inv in tr.items():
+        assert stored.keys() == level.orbit(b)
+        for x, inv in stored.items():
             assert inv[x] == b
             rep = chain.encode(sorted(range(degree), key=inv.__getitem__))
             assert len(rep) == degree and rep[b] == x and chain.invert(rep) == inv
@@ -338,7 +346,43 @@ def test_vendored_chain_bases(name, base, sizes):
     # change to either shows here before it shows in a product
     chain = load_group(f"{name}.grp")._chain()
     assert chain.base == base
-    assert [len(tr) for tr in chain.transversals] == sizes
+    assert [sum(inv is not None for inv in tr) for tr in chain.transversals] == sizes
+
+
+def reference_chain_groups():
+    """The groups whose chains are pinned to knuth_chain_reference:
+    random_small_groups(), the four vendored groups, relabelled PGL(5,2),
+    S14 and A15 (deep bases), PGL(5,2) with identity and repeated
+    generators, and the boundary groups at degrees 255, 256 and 257."""
+    rng = random.Random(39)
+    yield from random_small_groups()
+    for name in ("sigma45", "psu4_2", "psl2_7", "psl2_11"):
+        yield load_group(f"{name}.grp")
+    deep = [pgl2_generators(5)] + [
+        group_from_text(f"{head}\n(" + ",".join(map(str, range(1, n + 1))) + ")", n).generators
+        for n, head in ((14, "(1,2)"), (15, "(1,2,3)"))
+    ]
+    for gens in deep:
+        yield PermutationGroup(relabelled(gens, rng))
+    yield PermutationGroup([Permutation(range(31))] + pgl2_generators(5) * 2)
+    for degree in KERNEL_BOUNDARY:
+        for _, G in boundary_groups(degree):
+            yield G
+
+
+def test_chain_matches_knuth_reference():
+    # the tables hold the reference's stored inverses at the same points,
+    # with the same base and the same generators in the same order
+    count = 0
+    for G in reference_chain_groups():
+        base, gens, transversals = knuth_chain_reference(G)
+        chain = G._chain()
+        assert chain.base == base and chain.gens == gens
+        assert len(chain.transversals) == len(transversals)
+        for tr, want in zip(chain.transversals, transversals):
+            assert {x: inv for x, inv in enumerate(tr) if inv is not None} == want
+        count += 1
+    assert count == 25 + 4 + 3 + 1 + 3 * len(KERNEL_BOUNDARY)
 
 
 def test_deep_chain_symmetric_30():
@@ -365,7 +409,7 @@ def full_walk_strip(chain, g):
     for b, tr in zip(chain.base, chain.transversals):
         img = g.images[b]
         if img != b:
-            inv = tr.get(img)
+            inv = tr[img]
             if inv is None:
                 return g
             g = Permutation([inv[x] for x in g.images])
@@ -483,6 +527,23 @@ def test_lone_transposition_at_max_degree_is_one_level():
     assert G._chain().base == [MAX_DEGREE - 2]
 
 
+def test_many_level_chain_memory():
+    # 32 disjoint transpositions at degree 2,048: 32 levels, level i holding
+    # 32 - i generators and one inverse as 2,048-tuples besides its table of
+    # 2,048 pointers.  A chain with one dict per level retained 9.9 MiB under
+    # CPython 3.11; the ceiling is 9% over that, so a layout costing more
+    # than one table per level shows.
+    G = group_from_text("\n".join(f"({2 * i + 1},{2 * i + 2})" for i in range(32)), 2048)
+    tracemalloc.start()
+    try:
+        assert G.order() == 2**32
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 10.8 * 2**20
+    assert G._chain().base == list(range(0, 64, 2))
+
+
 # Chains and Schreier generators use 256-byte strings up to degree 256 and
 # image tuples above; these degrees sit on both sides of the switch.
 KERNEL_BOUNDARY = [255, 256, 257]
@@ -522,6 +583,9 @@ def test_kernels_match_image_tuples(degree):
             assert ta == ea + bytes(range(degree, 256))
         else:
             assert ta is ea
+            # a sift at a base point ea fixes composes with the identity
+            # table itself, which costs no copy
+            assert then(ea, identity) is ea
         # invert returns a table
         assert invert(ea) == table(encode(a_inv))
         ab = then(eb, ta)
