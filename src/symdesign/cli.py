@@ -108,32 +108,22 @@ def _cmd_group(args) -> int:
         for orb in G.orbits():
             print(",".join(str(p + 1) for p in sorted(orb)))
     elif args.query == "subdegrees":
-        subdegrees = _if_transitive(G.subdegrees, point)
-        if subdegrees is None:
+        try:
+            subdegrees = G.subdegrees(point)
+        except perm.IntransitiveError:
             print("group is not transitive")
             return 1
         print(" ".join(map(str, subdegrees)))
     else:
-        answer = _if_transitive(_primitivity, G)
-        if answer is None:
+        try:
+            text, system = _primitivity(G)
+        except perm.IntransitiveError:
             print("group is not transitive")
             return 1
-        text, system = answer
         print(f"primitive: {text}")
         for cls in system.classes() if system else ():
             print(",".join(str(p + 1) for p in sorted(cls)))
     return 0
-
-
-def _if_transitive(query, *args):
-    """query(*args), or None when it refuses an intransitive group: the
-    query's own pass finds the orbit, so none is searched first."""
-    try:
-        return query(*args)
-    except ValueError as exc:
-        if not str(exc).endswith(" a transitive group"):
-            raise
-        return None
 
 
 def _primitivity(G):
@@ -152,8 +142,10 @@ def _cmd_flagtest(args) -> int:
     except ValueError as exc:
         print(f"precondition failed: {exc}")
         return 1
-    answer = _if_transitive(_primitivity, G)
-    prim_text = "no (intransitive)" if answer is None else answer[0]
+    try:
+        prim_text = _primitivity(G)[0]
+    except perm.IntransitiveError:
+        prim_text = "no (intransitive)"
     print(f"flag-transitive: {'yes' if ft else 'no'}; primitive: {prim_text}")
     return 0 if ft else 1
 

@@ -152,10 +152,12 @@ class IncidenceStructure:
         return IncidenceStructure.from_masks(self.v, [full ^ m for m in self.masks])
 
     def is_automorphism(self, g: Permutation) -> bool:
+        """True iff the point map g carries the blocks onto themselves as
+        a multiset: a repeated block must go to a block repeated as often."""
         if g.degree != self.v:
             raise ValueError("degree mismatch")
         rows = _transpose(self.masks, self.v)
-        return set(_block_images(rows, g.images, len(self.masks))) <= set(self.masks)
+        return sorted(_block_images(rows, g.images, len(self.masks))) == sorted(self.masks)
 
     def __eq__(self, other) -> bool:
         return (

@@ -15,7 +15,8 @@ stabilizers, subdegrees and primitivity come from Schreier generators, with
 no chain: one pass, `_suborbits`, answers transitivity, rank and
 subdegrees, and stops at rank 2, where the group is 2-transitive and so
 primitive with no block sought, or once the points a caller names share
-one orbit of the stabilizer.
+one orbit of the stabilizer.  `subdegrees` and `is_primitive` refuse an
+intransitive group with `IntransitiveError`, a ValueError.
 
 The chain and the Schreier generators multiply and invert permutations
 through the kernels `_kernels(degree)` picks from the degree alone.  Up to
@@ -40,6 +41,10 @@ from operator import itemgetter
 
 # The largest degree a group file may declare
 MAX_DEGREE = 1 << 16
+
+
+class IntransitiveError(ValueError):
+    """A query that needs a transitive group met an intransitive one."""
 
 
 class Permutation:
@@ -359,7 +364,7 @@ class PermutationGroup:
         else:
             roots, transitive = None, self.is_transitive()
         if not transitive:
-            raise ValueError("subdegrees require a transitive group")
+            raise IntransitiveError("subdegrees require a transitive group")
         self._check_points((point,))
         return sorted(Counter(roots).values())
 
@@ -429,25 +434,36 @@ class PermutationGroup:
 
     def _congruence(self, points) -> list[int]:
         """The finest G-invariant partition that has `points` in one class,
-        as the smallest point of each point's class.
+        as the smallest point of each point's class (Atkinson, 1975).
 
-        Union-find: merging two classes queues their roots, and each queued
-        pair (x, y) merges g(x) with g(y) for every generator g, read from
-        the generators' image tuples.  At most n - 1 merges happen, so at
-        most (n - 1) * |generators| pairs are examined, whatever the set.
+        The union-find of `_suborbits`: a queued pair walks both points up
+        to their roots, halving the path, and links the larger root under
+        the smaller; each join queues the two roots' images under every
+        generator.  Every link points to a smaller point, so one ascending
+        pass turns each parent into its class minimum.  At most n - 1 joins
+        happen, so at most (n - 1) * |generators| image pairs are examined,
+        whatever the set.
         """
         parent = list(range(self.degree))
-        queue = []
         points = list(points)
-        for pt in points[1:]:
-            if merged := _union(parent, points[0], pt):
-                queue.append(merged)
+        queue = [(points[0], pt) for pt in points[1:]]
         images = [g.images for g in self.generators]
         for x, y in queue:
-            for im in images:
-                if merged := _union(parent, im[x], im[y]):
-                    queue.append(merged)
-        return [_find(parent, pt) for pt in range(self.degree)]
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                for im in images:
+                    queue.append((im[x], im[y]))
+        for x in range(self.degree):
+            parent[x] = parent[parent[x]]
+        return parent
 
     def minimal_block(self, alpha: int, beta: int) -> frozenset[int]:
         """Smallest block of imprimitivity containing {alpha, beta}.
@@ -475,7 +491,7 @@ class PermutationGroup:
         """
         roots, transitive = self._suborbits(0)
         if not transitive:
-            raise ValueError("primitivity requires a transitive group")
+            raise IntransitiveError("primitivity requires a transitive group")
         betas = sorted(set(roots) - {0})
         if len(betas) < 2:
             return True, None
@@ -546,27 +562,6 @@ class PermutationGroup:
             raise ValueError("block orbit does not cover all points")
         number = {m: i for i, m in enumerate(sorted(sizes))}
         return BlockSystem(self.degree, tuple(number[m] for m in least))
-
-
-def _find(parent: list[int], x: int) -> int:
-    """The root of x's class in a union-find forest, halving the path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> tuple[int, int] | None:
-    """Merge the classes of x and y.  The smaller root stays the root, so
-    roots are class minima.  Returns the (kept, merged) roots, or None when
-    x and y were already in one class."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx == ry:
-        return None
-    if rx > ry:
-        rx, ry = ry, rx
-    parent[ry] = rx
-    return rx, ry
 
 
 @contextmanager

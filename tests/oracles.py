@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from itertools import combinations, product
 
 from symdesign.algebra import FieldTable, PrimePower
@@ -503,10 +504,10 @@ def flag_transitive_two_step(G, D) -> bool:
 
 
 def brute_is_automorphism(images, blocks) -> bool:
-    """True iff the point map x -> images[x] carries every block, given as
-    a list of points, onto a block of the list."""
-    block_set = {frozenset(b) for b in blocks}
-    return all(frozenset(images[x] for x in b) in block_set for b in blocks)
+    """True iff the point map x -> images[x] carries the blocks, each given
+    as a list of points, onto themselves as a multiset."""
+    before = Counter(frozenset(b) for b in blocks)
+    return Counter(frozenset(images[x] for x in b) for b in blocks) == before
 
 
 def brute_flag_transitive(G, D) -> bool:

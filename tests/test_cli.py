@@ -240,16 +240,20 @@ def test_group_query_needs_transitive(capsys, monkeypatch, tmp_path, query):
 
 @pytest.mark.parametrize("verb", ["group", "flagtest"])
 def test_primitivity_errors_other_than_intransitivity_propagate(monkeypatch, tmp_path, verb):
-    def broken(self):
-        raise ValueError("some other failure")
-
-    monkeypatch.setattr(PermutationGroup, "is_primitive", broken)
+    # only an IntransitiveError means an intransitive group, whatever
+    # another ValueError's message says
     g_file, d_file = tmp_path / "g.grp", tmp_path / "d.design"
     g_file.write_text("degree 3\n(1,2,3)\n")
     d_file.write_text("v 3\n1\n2\n3\n")
     argv = ["group", "primitive", str(g_file)] if verb == "group" else [verb, str(g_file), str(d_file)]
-    with pytest.raises(ValueError, match="some other failure"):
-        main(argv)
+    for message in ("some other failure", "this check requires a transitive group"):
+
+        def broken(self, message=message):
+            raise ValueError(message)
+
+        monkeypatch.setattr(PermutationGroup, "is_primitive", broken)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            main(argv)
 
 
 @pytest.mark.parametrize("name, line", [("sigma45.grp", "1 8 36\n"), ("psu4_2.grp", "1 12 32\n")])

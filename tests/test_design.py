@@ -477,6 +477,17 @@ def test_masks_and_point_views():
     assert IncidenceStructure(200, [dense]).blocks_sorted() == [tuple(dense)]
 
 
+def test_is_automorphism_keeps_repeated_blocks():
+    # the swap carries the block set {{0}, {1}} onto itself, but the
+    # multiset [{0}, {0}, {1}] onto [{1}, {1}, {0}]
+    blocks = [(0,), (0,), (1,)]
+    swap = Permutation([1, 0])
+    assert not IncidenceStructure(2, blocks).is_automorphism(swap)
+    assert not brute_is_automorphism(swap.images, blocks)
+    assert IncidenceStructure(2, blocks).is_automorphism(Permutation([0, 1]))
+    assert IncidenceStructure(2, [(0,), (1,), (0,), (1,)]).is_automorphism(swap)
+
+
 def test_no_blocks_is_automorphism_of_everything():
     D = IncidenceStructure(3, [])
     assert D.is_automorphism(Permutation([1, 2, 0]))

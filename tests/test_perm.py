@@ -3,7 +3,7 @@ import time
 import tracemalloc
 from importlib import resources
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +29,7 @@ from oracles import (
 from symdesign.constructions import load_group
 from symdesign.perm import (
     MAX_DEGREE,
+    IntransitiveError,
     Permutation,
     PermutationGroup,
     _kernels,
@@ -696,18 +697,19 @@ def test_subdegrees_psu42():
 
 def test_subdegrees_requires_transitive():
     G = group_from_text("(1,2)", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(IntransitiveError):
         G.subdegrees(0)
 
 
 def test_subdegrees_rejects_point_out_of_range():
     G = group_from_text("(1,2,3,4,5)", 5)
     for point in (-1, 5):
-        with pytest.raises(ValueError, match="point out of range"):
+        with pytest.raises(ValueError, match="point out of range") as info:
             G.subdegrees(point)
+        assert not isinstance(info.value, IntransitiveError)
     # transitivity is checked first
     for point in (0, -1, 4):
-        with pytest.raises(ValueError, match="subdegrees require a transitive group"):
+        with pytest.raises(IntransitiveError, match="subdegrees require a transitive group"):
             group_from_text("(1,2)", 4).subdegrees(point)
 
 
@@ -1123,8 +1125,28 @@ def test_is_primitive_identity_and_repeated_generators():
 
 
 def test_is_primitive_rejects_intransitive_group():
-    with pytest.raises(ValueError, match="primitivity requires a transitive group"):
+    with pytest.raises(IntransitiveError, match="primitivity requires a transitive group"):
         group_from_text("(1,2,3)", 4).is_primitive()
+
+
+@pytest.mark.parametrize("n", [257, 1024, 4096])
+@pytest.mark.parametrize("dihedral", [False, True], ids=["cyclic", "dihedral"])
+def test_congruence_above_byte_degrees(n, dihedral):
+    """Z_n, and D_n on Z_n, above degree 256: every subgroup of Z_n is a
+    block of both, and every block of D_n is one of Z_n, so the least
+    block holding 0 and b is the n / d multiples of d = gcd(b, n), and its
+    system has d classes, the cosets."""
+    gens = [Permutation([(x + 1) % n for x in range(n)])]
+    if dihedral:
+        gens.append(Permutation([-x % n for x in range(n)]))
+    G = PermutationGroup(gens, n)
+    for b in sorted({1, 2, 3, 6, 16, n // 2, n - 1, n - 2}):
+        d = gcd(b, n)
+        block = G.minimal_block(0, b)
+        assert block == set(range(0, n, d)), b
+        system = G.block_system(block)
+        assert (system.num_classes, system.class_size) == (d, n // d), b
+        assert system.class_of == tuple(x % d for x in range(n)), b
 
 
 def test_block_system_rejects_non_block():
