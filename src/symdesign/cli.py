@@ -102,27 +102,22 @@ def _cmd_group(args) -> int:
     point = args.point - 1
     if not 0 <= point < G.degree:
         raise UsageError(f"--point must be in 1..{G.degree}")
-    if args.query == "order":
-        print(G.order())
-    elif args.query == "orbits":
-        for orb in G.orbits():
-            print(",".join(str(p + 1) for p in sorted(orb)))
-    elif args.query == "subdegrees":
-        try:
-            subdegrees = G.subdegrees(point)
-        except perm.IntransitiveError:
-            print("group is not transitive")
-            return 1
-        print(" ".join(map(str, subdegrees)))
-    else:
-        try:
+    try:
+        if args.query == "order":
+            print(G.order())
+        elif args.query == "orbits":
+            for orb in G.orbits():
+                print(",".join(str(p + 1) for p in sorted(orb)))
+        elif args.query == "subdegrees":
+            print(" ".join(map(str, G.subdegrees(point))))
+        else:
             text, system = _primitivity(G)
-        except perm.IntransitiveError:
-            print("group is not transitive")
-            return 1
-        print(f"primitive: {text}")
-        for cls in system.classes() if system else ():
-            print(",".join(str(p + 1) for p in sorted(cls)))
+            print(f"primitive: {text}")
+            for cls in system.classes() if system else ():
+                print(",".join(str(p + 1) for p in sorted(cls)))
+    except perm.IntransitiveError:
+        print("group is not transitive")
+        return 1
     return 0
 
 

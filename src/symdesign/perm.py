@@ -35,6 +35,7 @@ import re
 import threading
 from collections import Counter, namedtuple
 from contextlib import contextmanager
+from itertools import chain as concat
 from math import prod
 from operator import itemgetter
 
@@ -162,19 +163,18 @@ class _StabilizerChain:
     """Stabilizer chain over a base grown on demand, built by Knuth's
     Schreier-Sims.
 
-    base, gens and transversals are parallel lists with one entry per
-    level.  gens[i] alone generates the stabilizer of base[:i].
-    transversals[i] is a point-indexed table of length degree: entry x is
-    the inverse of a representative carrying base[i] to x when x is in the
-    orbit of base[i] under gens[i], and None off the orbit, and entry
-    base[i] is the identity table.  `levels` pairs each base point with
-    its table, for the one sift loop of `strip`.  A level opens only for a
-    generator that fixes every base point so far, at the least point it
-    moves, so every orbit has at least two points and the base depends on
-    the order of the generators.  Everything is in the forms of
-    `_kernels(degree)`: up to degree 256, representatives, products and
-    sift residues are degree-length bytes, and generators and stored
-    inverses are 256-byte tables; above 256 all are image tuples.
+    levels and gens have one entry per level.  levels[i] is (b, tr): the
+    base point b and a point-indexed table tr of length degree, in which
+    entry x is the inverse of a representative carrying b to x when x is in
+    the orbit of b under gens[i], and None off the orbit, and entry b is
+    the identity table.  gens[i] alone generates the stabilizer of the base
+    points of levels[:i].  `strip` sifts through levels in one loop.  A
+    level opens only for a generator that fixes every base point so far,
+    at the least point it moves, so every orbit has at least two points and
+    the base depends on the order of the generators.  Everything is in the
+    forms of `_kernels(degree)`: up to degree 256, representatives,
+    products and sift residues are degree-length bytes, and generators and
+    stored inverses are 256-byte tables; above 256 all are image tuples.
 
     A table costs degree pointers per level on top of the stored inverses.
     Above degree 256 that is one more inverse's worth, as an inverse is an
@@ -184,28 +184,26 @@ class _StabilizerChain:
 
     def __init__(self, generators, degree):
         self.encode, self.table, self.then, self.invert, self.identity = _kernels(degree)
-        self.base: list[int] = []
         self.gens: list[list[bytes | tuple]] = []
-        self.transversals: list[list] = []
         self.levels: list[tuple[int, list]] = []
         self._absorb([self.encode(g.images) for g in generators])
 
     def _absorb(self, generators) -> None:
         """Knuth's procedures A and B as one worklist, so nothing recurses.
 
-        An item (level, g, True) is a candidate generator fixing base[:level]:
-        unless it is the identity or sifts to it from that level on, it
-        joins gens[level], opening that level if it is one past the last,
-        and meets every representative there.  An item (level, p, False) is
-        such a product: a new image of base[level] takes p as its
-        representative and meets every generator there; a known image gives
-        a Schreier generator, a candidate for level + 1, taken at once, as
-        the LIFO worklist would pop it next.  Each generator meets each
-        representative once, when the later of the two appears, and nothing
-        restarts.
+        An item (level, g, True) is a candidate generator fixing the base
+        points of levels[:level]: unless it is the identity or sifts to it
+        from that level on, it joins gens[level], opening that level if it
+        is one past the last, and meets every representative there.  An
+        item (level, p, False) is such a product: a new image of the base
+        point of levels[level] takes p as its representative and meets
+        every generator there; a known image gives a Schreier generator, a
+        candidate for level + 1, taken at once, as the LIFO worklist would
+        pop it next.  Each generator meets each representative once, when
+        the later of the two appears, and nothing restarts.
         """
         table, then, invert, identity = self.table, self.then, self.invert, self.identity
-        base, gens, levels = self.base, self.gens, self.levels
+        gens, levels = self.gens, self.levels
         reps = []  # forward representatives, per level
         work = [(0, g, True) for g in reversed(generators)]
         while work:
@@ -222,13 +220,11 @@ class _StabilizerChain:
                 p = then(p, inv)
                 level += 1
             if p != identity and self.strip(p, level) != identity:
-                if level == len(base):
+                if level == len(levels):
                     b = next(x for x, y in enumerate(p) if x != y)
                     tr = [None] * len(identity)
                     tr[b] = table(identity)
-                    base.append(b)
                     gens.append([])
-                    self.transversals.append(tr)
                     levels.append((b, tr))
                     reps.append([identity])
                 p = table(p)
@@ -238,7 +234,7 @@ class _StabilizerChain:
     def strip(self, p, level=0):
         """Sift an encoded permutation, in the inner form of the kernels,
         through the levels from `level` on; the residue is the identity iff
-        it is in the group (p fixing base[:level]).
+        it is in the group (p fixing the base points of levels[:level]).
 
         Each level is one lookup, tr[p[b]], and one product: a point off
         the orbit reads None and ends the sift, and a base point that p
@@ -340,7 +336,7 @@ class PermutationGroup:
 
     def order(self) -> int:
         """The product of the chain's orbit sizes."""
-        return prod(len(tr) - tr.count(None) for tr in self._chain().transversals)
+        return prod(len(tr) - tr.count(None) for _, tr in self._chain().levels)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -436,19 +432,23 @@ class PermutationGroup:
         """The finest G-invariant partition that has `points` in one class,
         as the smallest point of each point's class (Atkinson, 1975).
 
-        The union-find of `_suborbits`: a queued pair walks both points up
-        to their roots, halving the path, and links the larger root under
-        the smaller; each join queues the two roots' images under every
-        generator.  Every link points to a smaller point, so one ascending
-        pass turns each parent into its class minimum.  At most n - 1 joins
-        happen, so at most (n - 1) * |generators| image pairs are examined,
-        whatever the set.
+        The union-find of `_suborbits`: a pair walks both points up to their
+        roots, halving the path, and links the larger root under the
+        smaller.  The pairs are points[0] with each other point, then each
+        join's two roots under every generator, read off the growing list
+        of joins, which alone is kept (at most n - 1 pairs).  Every link
+        points to a smaller point, so one ascending pass turns each parent
+        into its class minimum.  At most (n - 1) * |generators| image pairs
+        are examined, whatever the set.
         """
         parent = list(range(self.degree))
         points = list(points)
-        queue = [(points[0], pt) for pt in points[1:]]
         images = [g.images for g in self.generators]
-        for x, y in queue:
+        joined = []
+        for x, y in concat(
+            ((points[0], pt) for pt in points[1:]),
+            ((im[a], im[b]) for a, b in joined for im in images),
+        ):
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
@@ -459,8 +459,7 @@ class PermutationGroup:
                 if x > y:
                     x, y = y, x
                 parent[y] = x
-                for im in images:
-                    queue.append((im[x], im[y]))
+                joined.append((x, y))
         for x in range(self.degree):
             parent[x] = parent[parent[x]]
         return parent

@@ -382,7 +382,7 @@ def chain_stabilizer(G, point):
     if not moved or moved[0].images[0] == 0:
         return PermutationGroup(G.generators, G.degree)
     chain = PermutationGroup(moved, G.degree)._chain()
-    assert chain.base[0] == 0
+    assert chain.levels[0][0] == 0
     level1 = chain.gens[1] if len(chain.gens) > 1 else []
     stabilizer = [conjugate(Permutation(h[: G.degree]), t) for h in level1]
     return PermutationGroup(stabilizer, G.degree)
